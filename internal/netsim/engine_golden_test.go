@@ -15,18 +15,19 @@ import (
 	"repro/internal/topo"
 )
 
-// Golden parity for the unified engine: the four public entry points (Run,
-// RunFaulty, RunImplicit, RunImplicitFaulty) are pinned bit for bit to the
-// Stats they produced before the four separate event loops were collapsed
-// into the shared engine. The fixtures in testdata/engine_golden.json were
-// generated by the PRE-refactor loops (REGEN_ENGINE_GOLDEN=1 go test -run
+// Golden parity for the unified engine: the five public entry points (Run,
+// RunFaulty, RunImplicit, RunImplicitFaulty, RunSharded) are pinned bit for
+// bit to the Stats they produced before the refactors that merged their
+// event loops. The fixtures in testdata/engine_golden.json were generated
+// by the pre-refactor code (REGEN_ENGINE_GOLDEN=1 go test -run
 // TestEngineGoldenParity regenerates them — only do that to extend the grid,
 // never to paper over a diff), so any drift in RNG draw order, phase order,
-// or accounting introduced by the refactor fails this test with an exact
+// or accounting introduced by a refactor fails this test with an exact
 // field diff.
 //
 // The grid spans the axes the engine parameterizes: materialized vs implicit
 // adjacency, table vs algebraic routing, fault-free vs degraded loops,
+// sequential vs module-sharded lanes,
 // uniform/transpose/hotspot patterns, module-partitioned service periods,
 // store-and-forward vs cut-through, multi-flit messages, adaptive routing,
 // and all three injection-sampler regimes (exact Bernoulli, Poisson,
@@ -280,6 +281,58 @@ func goldenResults(t *testing.T) map[string]any {
 			Router: topo.NewFaultAware(imp, air, fs)}
 		st, err := RunImplicitFaulty(cfg, ImplicitFaultConfig{Plan: hplan, Faults: fs})
 		put("runimplicitfaulty/hsn2q3/seed3", st, err)
+	}
+
+	// --- RunSharded: module-partitioned lanes ---
+	{
+		ht := topo.HypercubeTopo{Dim: 6}
+		st, err := RunSharded(ShardedConfig{
+			NewLane: func() (Topology, Router, FaultSink, error) {
+				return ht, topo.HypercubeRouter{Dim: 6}, nil, nil
+			},
+			Space: topo.SubcubeSpace{Dim: 6, Low: 3}, OffModulePeriod: 4,
+			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300,
+			Seed: 1, Lanes: 8, Shards: 2})
+		put("runsharded/q6/lanes8/seed1", st, err)
+	}
+	{
+		net := superip.HSN(2, superip.NucleusHypercube(3))
+		imp, err := topo.NewImplicit(net.Super())
+		if err != nil {
+			t.Fatal(err)
+		}
+		newAlgebraicLane := func(fs *topo.FaultSet) (Topology, Router, FaultSink, error) {
+			limp, err := topo.NewImplicit(net.Super())
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			air, err := topo.NewAlgebraic(net.Super())
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			if fs == nil {
+				return limp, air, nil, nil
+			}
+			return limp, topo.NewFaultAware(limp, air, fs), fs, nil
+		}
+		st, err := RunSharded(ShardedConfig{
+			NewLane: func() (Topology, Router, FaultSink, error) { return newAlgebraicLane(nil) },
+			Space:   imp, OffModulePeriod: 4,
+			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300,
+			Seed: 4, Shards: 2})
+		put("runsharded/hsn2q3/modules4/seed4", st, err)
+
+		hplan, err := (RandomFaults{MTBF: 60, RepairTime: 150, NodeFraction: 0.25,
+			Start: 50, Horizon: 350, MaxFaults: 5, Seed: 2}).PlanTopo(imp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err = RunSharded(ShardedConfig{
+			NewLane: func() (Topology, Router, FaultSink, error) { return newAlgebraicLane(topo.NewFaultSet()) },
+			Space:   imp, OffModulePeriod: 4, Plan: hplan,
+			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300,
+			Seed: 3, Lanes: 8, Shards: 2})
+		put("runsharded/hsn2q3/faulty/seed3", st, err)
 	}
 	return out
 }
