@@ -213,7 +213,7 @@ func main() {
 		sym     = flag.Bool("sym", false, "symmetric (distinct-seed) variant (super-IP families)")
 		routerK = flag.String("router", "bfs", "routing for super-IP runs: bfs (per-destination tables) or algebraic (Theorem 4.1/4.3 label arithmetic, O(1) state per node)")
 		impl    = flag.Bool("implicit", false, "simulate the implicit topology without materializing the graph (super-IP families; forces algebraic routing; -faults uses the fault-aware algebraic router; observability collectors attach to the sparse simulator's probe hooks)")
-		shards  = flag.Int("shards", 0, "run -implicit sweeps on the sharded engine with this many worker goroutines (module-partitioned lanes with conservative lookahead; any shard count produces identical stats for a fixed seed, so this only changes wall-clock; 0 = classic single-loop simulator)")
+		shards  = flag.Int("shards", 0, "run -implicit sweeps on the sharded engine with this many worker goroutines (64 module-partitioned lanes with per-lane RNG streams and conservative lookahead; every value > 0 produces identical stats for a fixed seed, but they differ from -shards 0, the single-lane simulator)")
 		dim     = flag.Int("dim", 8, "hypercube dimension")
 		module  = flag.Int("module", 4, "hypercube: module subcube dimension; torus: tile side")
 		rows    = flag.Int("rows", 16, "torus rows")

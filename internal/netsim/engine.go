@@ -1,8 +1,6 @@
-// The unified simulation engine. The four public entry points — Run,
-// RunFaulty, RunImplicit, RunImplicitFaulty — used to be four near-duplicate
-// event loops; they are now four configurations of the one engine in this
-// file: one packet struct (epacket), one link-FIFO/active-list core
-// (linkStore: dense for materialized graphs, sparse for implicit
+// The unified simulation engine. Every public entry point runs the one
+// engine in this file: one packet struct (epacket), one link-FIFO/active-
+// list core (linkStore: dense for materialized graphs, sparse for implicit
 // topologies), one future-arrival ring, one injection sampler, and one
 // per-cycle phase order
 //
@@ -14,7 +12,10 @@
 // detours), delivery bookkeeping (plain counters vs. flow-table duplicate
 // suppression), hop-limit policy (hard error vs. counted drop), and fault
 // handling. The closures capture each variant's statistics directly, so the
-// engine itself holds no Stats.
+// engine itself holds no Stats. The materialized entry points, Run and
+// RunFaulty, each wire their own hooks; the three implicit ones —
+// RunImplicit, RunImplicitFaulty, RunSharded — share the one hook set of the
+// lane engine (lane.go).
 //
 // Bit-for-bit compatibility contract: every variant must consume the run's
 // RNG in exactly the order the pre-refactor loops did (injection draws,
@@ -124,18 +125,19 @@ type engine struct {
 }
 
 // run executes the clock loop until the drain deadline, the variant's early
-// break, or an error.
-func (e *engine) run() error {
+// break, or an error, and returns the cycle it stopped at (the deadline when
+// no early break fired).
+func (e *engine) run() (end int, err error) {
 	for now := 0; now < e.deadline; now++ {
 		stop, err := e.step(now)
 		if err != nil {
-			return err
+			return now, err
 		}
 		if stop {
-			break
+			return now, nil
 		}
 	}
-	return nil
+	return e.deadline, nil
 }
 
 // step executes one cycle of the clock loop: tick, topology changes,

@@ -123,21 +123,6 @@ func (cfg *ImplicitConfig) normalize() error {
 	if cfg.Router == nil {
 		return fmt.Errorf("netsim: implicit runs need a Router (no table fallback)")
 	}
-	if cfg.InjectionRate < 0 || cfg.InjectionRate > 1 {
-		return fmt.Errorf("netsim: injection rate %v out of [0,1]", cfg.InjectionRate)
-	}
-	if cfg.OffModulePeriod < 1 {
-		cfg.OffModulePeriod = 1
-	}
-	if cfg.DrainCycles == 0 {
-		cfg.DrainCycles = 10 * (cfg.WarmupCycles + cfg.MeasureCycles)
-	}
-	if cfg.Flits < 1 {
-		cfg.Flits = 1
-	}
-	if cfg.MaxHops < 1 {
-		cfg.MaxHops = 4096
-	}
 	n := cfg.Topo.N()
 	for i, sc := range cfg.Script {
 		if sc.At < 0 || sc.At >= cfg.WarmupCycles+cfg.MeasureCycles {
@@ -148,20 +133,11 @@ func (cfg *ImplicitConfig) normalize() error {
 			return fmt.Errorf("netsim: scripted injection %d: invalid pair %d -> %d", i, sc.Src, sc.Dst)
 		}
 	}
+	// Sort a copy: the caller's slice (possibly shared by concurrent runs)
+	// must not be reordered.
+	cfg.Script = append([]Injection(nil), cfg.Script...)
 	sort.SliceStable(cfg.Script, func(i, j int) bool { return cfg.Script[i].At < cfg.Script[j].At })
 	return nil
-}
-
-// implicitPeriod is the link service-period policy of the implicit
-// configurations, shared by RunImplicit and RunImplicitFaulty: links
-// crossing a ModuleOf boundary cost OffModulePeriod, everything else 1.
-func implicitPeriod(cfg *ImplicitConfig) func(u, v int64) int {
-	return func(u, v int64) int {
-		if cfg.ModuleOf == nil || cfg.ModuleOf(u) == cfg.ModuleOf(v) {
-			return 1
-		}
-		return cfg.OffModulePeriod
-	}
 }
 
 // RunImplicit executes the simulation against an implicit topology. It is
@@ -171,125 +147,40 @@ func implicitPeriod(cfg *ImplicitConfig) func(u, v int64) int {
 // the in-flight packet population — independent of N. Runs are deterministic
 // in the configuration (including Seed) and unperturbed by cfg.Probe.
 func RunImplicit(cfg ImplicitConfig) (ImplicitStats, error) {
-	var out ImplicitStats
 	if err := cfg.normalize(); err != nil {
-		return out, err
+		return ImplicitStats{}, err
 	}
-	n := cfg.Topo.N()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	statser, _ := cfg.Router.(routerStatser)
-	var routerBase obs.RouterStats
-	if statser != nil {
-		routerBase = statser.RouterStats()
-	}
+	st, err := runOneLane(&cfg, nil, nil)
+	return ImplicitStats{Stats: st.Stats, Router: st.Router}, err
+}
 
-	st := &out.Stats
-	var latencySum int64
-	inFlightMeasured := 0
-	var nextID int64
-
-	e := &engine{
-		pb:         cfg.Probe, // nil fast path: no obs code runs uninstrumented
-		store:      newSparseLinks(cfg.Topo),
-		ring:       make([][]earrival, cfg.OffModulePeriod*cfg.Flits+1),
-		flits:      cfg.Flits,
-		cutThrough: cfg.CutThrough,
-		period:     implicitPeriod(&cfg),
-		total:      cfg.WarmupCycles + cfg.MeasureCycles,
-		hopLimit:   cfg.MaxHops,
+// runOneLane runs a normalized implicit configuration as one lane of the
+// lane engine (lane.go) that owns every node: the RNG is Seed's own stream,
+// sources are drawn in node id order, links cost OffModulePeriod across
+// ModuleOf boundaries, the probe sees events as they happen, and the
+// engine's loop stops the run once no measured packet is in flight and the
+// plan is spent.
+func runOneLane(cfg *ImplicitConfig, plan *FaultPlan, faults FaultSink) (ImplicitFaultStats, error) {
+	r := &laneRun{rate: cfg.InjectionRate, warmup: cfg.WarmupCycles, measure: cfg.MeasureCycles,
+		drain: cfg.DrainCycles, flits: cfg.Flits, cutThrough: cfg.CutThrough,
+		offPeriod: cfg.OffModulePeriod, maxHops: cfg.MaxHops, pattern: cfg.Pattern, plan: plan}
+	if err := r.init(cfg.Topo); err != nil {
+		return ImplicitFaultStats{}, err
 	}
-	e.deadline = e.total + cfg.DrainCycles
-	e.route = func(_ int, at int64, pkt *epacket) (int64, bool, error) {
-		nh, err := cfg.Router.NextHop(at, pkt.dst)
-		if err != nil {
-			return 0, false, err
+	r.ringLen = r.offPeriod*r.flits + 1
+	r.period = func(u, v int64) int {
+		if cfg.ModuleOf == nil || cfg.ModuleOf(u) == cfg.ModuleOf(v) {
+			return 1
 		}
-		return nh, true, nil
+		return r.offPeriod
 	}
-	// Algebraic routers are deterministic oracles: a packet that exceeds
-	// the hop budget in a fault-free run means a cycling router, which is a
-	// bug, so the run aborts.
-	e.onHopLimit = func(_ int, at int64, pkt *epacket) error {
-		return fmt.Errorf("netsim: packet for %d exceeded %d hops at %d (router livelock?)", pkt.dst, cfg.MaxHops, at)
+	r.lanes = 1
+	ln := &simLane{topo: cfg.Topo, router: cfg.Router, faults: faults,
+		rng: rand.New(rand.NewSource(cfg.Seed)), pb: cfg.Probe, nOwned: r.n, script: cfg.Script}
+	ln.build(r)
+	end, err := ln.eng.run()
+	if err != nil {
+		return ImplicitFaultStats{}, err
 	}
-	e.deliver = func(now int, at int64, pkt *epacket) {
-		lat := now - pkt.born
-		if pkt.measured {
-			st.Delivered++
-			inFlightMeasured--
-			latencySum += int64(lat)
-			if lat > st.MaxLatency {
-				st.MaxLatency = lat
-			}
-		}
-		if e.pb != nil {
-			e.pb.Deliver(now, pkt.id, at, lat, pkt.measured)
-		}
-	}
-	scriptPos := 0
-	e.inject = func(now int) error {
-		for k := injectionCount(n, cfg.InjectionRate, rng); k > 0; k-- {
-			src := rng.Int63n(n)
-			var dst int64
-			if cfg.Pattern != nil {
-				dst = cfg.Pattern(src, n, rng)
-			} else {
-				dst = uniformDst64(src, n, rng)
-			}
-			if dst == src || dst < 0 || dst >= n {
-				continue
-			}
-			measured := now >= cfg.WarmupCycles
-			if measured {
-				st.Injected++
-				inFlightMeasured++
-			}
-			id := nextID
-			nextID++
-			if e.pb != nil {
-				e.pb.Inject(now, id, src, dst, measured)
-			}
-			if err := e.enqueue(now, src, epacket{id: id, dst: dst, born: now, measured: measured}); err != nil {
-				return err
-			}
-		}
-		for scriptPos < len(cfg.Script) && cfg.Script[scriptPos].At == now {
-			sc := cfg.Script[scriptPos]
-			scriptPos++
-			measured := now >= cfg.WarmupCycles
-			if measured {
-				st.Injected++
-				inFlightMeasured++
-			}
-			id := nextID
-			nextID++
-			if e.pb != nil {
-				e.pb.Inject(now, id, sc.Src, sc.Dst, measured)
-			}
-			if err := e.enqueue(now, sc.Src, epacket{id: id, dst: sc.Dst, born: now, measured: measured}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	e.canStop = func(int) bool { return inFlightMeasured == 0 }
-
-	if err := e.run(); err != nil {
-		return out, err
-	}
-	st.Expired = inFlightMeasured
-	if st.Delivered > 0 {
-		st.AvgLatency = float64(latencySum) / float64(st.Delivered)
-	}
-	if cfg.MeasureCycles > 0 {
-		st.Throughput = float64(st.Delivered) / float64(n) / float64(cfg.MeasureCycles)
-	}
-	st.fillQuantiles(e.pb)
-	if statser != nil {
-		out.Router = statser.RouterStats().Delta(routerBase)
-		if ro, ok := e.pb.(obs.RouterObserver); ok {
-			ro.ObserveRouter(out.Router)
-		}
-	}
-	return out, nil
+	return r.fold([]*simLane{ln}, end, cfg.Probe), nil
 }

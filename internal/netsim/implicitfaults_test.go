@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"testing"
@@ -480,5 +481,63 @@ func TestPlanTopoDeterministic(t *testing.T) {
 	}
 	if err := a.ValidateTopo(imp); err != nil {
 		t.Fatalf("generated plan invalid: %v", err)
+	}
+}
+
+// errRouter is e-cube routing on Q6 that fails for every destination
+// congruent to 5 mod 8.
+type errRouter struct{}
+
+func (errRouter) NextHop(cur, dst int64) (int64, error) {
+	if dst%8 == 5 {
+		return 0, fmt.Errorf("errRouter: no route to %d", dst)
+	}
+	return topo.HypercubeRouter{Dim: 6}.NextHop(cur, dst)
+}
+
+// TestRouterFailureRule pins the one rule for router errors and hop
+// overruns on both implicit entry points that take a fault plan: without a
+// plan either one aborts the run (as in RunImplicit); with a plan the
+// packet is dropped and counted, and the run goes on.
+func TestRouterFailureRule(t *testing.T) {
+	ht := topo.HypercubeTopo{Dim: 6}
+	plan := (&FaultPlan{}).LinkDown(20, 8, 9, 0)
+	routers := map[string]Router{"error": errRouter{}, "hoplimit": loopRouter{}}
+	entries := map[string]func(r Router, plan *FaultPlan) (ImplicitFaultStats, error){
+		"RunImplicitFaulty": func(r Router, plan *FaultPlan) (ImplicitFaultStats, error) {
+			return RunImplicitFaulty(ImplicitConfig{Topo: ht, Router: r, InjectionRate: 0.05,
+				WarmupCycles: 10, MeasureCycles: 100, DrainCycles: 200, Seed: 3, MaxHops: 32},
+				ImplicitFaultConfig{Plan: plan, Faults: topo.NewFaultSet()})
+		},
+		"RunSharded": func(r Router, plan *FaultPlan) (ImplicitFaultStats, error) {
+			return RunSharded(ShardedConfig{
+				NewLane: func() (Topology, Router, FaultSink, error) {
+					return ht, r, topo.NewFaultSet(), nil
+				},
+				Space: topo.SubcubeSpace{Dim: 6, Low: 3}, OffModulePeriod: 2, Lanes: 4,
+				InjectionRate: 0.05, WarmupCycles: 10, MeasureCycles: 100, DrainCycles: 200,
+				Seed: 3, MaxHops: 32, Plan: plan})
+		},
+	}
+	for ename, run := range entries {
+		for rname, r := range routers {
+			if _, err := run(r, nil); err == nil {
+				t.Errorf("%s/%s: fault-free run did not abort", ename, rname)
+			}
+			st, err := run(r, plan)
+			if err != nil {
+				t.Errorf("%s/%s: faulty run aborted: %v", ename, rname, err)
+				continue
+			}
+			if st.Lost == 0 {
+				t.Errorf("%s/%s: faulty run dropped nothing: %+v", ename, rname, st)
+			}
+			if hopDrops := st.HopLimitDrops > 0; hopDrops != (rname == "hoplimit") {
+				t.Errorf("%s/%s: HopLimitDrops = %d", ename, rname, st.HopLimitDrops)
+			}
+			if st.Injected != st.Delivered+st.Lost+st.Expired {
+				t.Errorf("%s/%s: conservation violated: %+v", ename, rname, st)
+			}
+		}
 	}
 }

@@ -130,3 +130,35 @@ func TestScriptValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestScriptCallerSliceUntouched pins that a run sorts a private copy of
+// its Script: the caller's slice keeps its order, and two concurrent runs
+// sharing one script do not race on it (CI runs this under -race).
+func TestScriptCallerSliceUntouched(t *testing.T) {
+	script := []Injection{{At: 5, Src: 0, Dst: 7}, {At: 1, Src: 2, Dst: 3}}
+	want := append([]Injection(nil), script...)
+	cfg := ImplicitConfig{Topo: topo.HypercubeTopo{Dim: 3}, Router: topo.HypercubeRouter{Dim: 3},
+		MeasureCycles: 10, Seed: 1, Script: script}
+	results := make(chan ImplicitStats, 2)
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			st, err := RunImplicit(cfg)
+			results <- st
+			errs <- err
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+		if st := <-results; st.Injected != 2 || st.Delivered != 2 {
+			t.Fatalf("scripted run injected %d, delivered %d; want 2 and 2", st.Injected, st.Delivered)
+		}
+	}
+	for i := range want {
+		if script[i] != want[i] {
+			t.Fatalf("run reordered the caller's script: got %v, want %v", script, want)
+		}
+	}
+}

@@ -16,11 +16,16 @@
 // transmitted during window k cannot arrive before window k+1 begins. Intra-
 // lane traffic never waits for a barrier.
 //
-// RunSharded draws its own per-lane RNG streams (split from Seed), so its
-// statistics are not comparable packet-for-packet with RunImplicit's single
-// global stream; the sequential engines remain the reference for that. What
-// the sharded run preserves is the model: same injection law per node, same
-// routing, same link service, same fault semantics as RunImplicitFaulty.
+// The lanes are those of the lane engine (lane.go) that RunImplicit and
+// RunImplicitFaulty run as a single lane: the hooks — routing, delivery,
+// drops, fault application — are the same code. What the many-lane run
+// changes is the RNG (one splitmix64-derived stream per lane instead of
+// Seed's own stream), the source enumeration (each lane draws over the
+// nodes of its modules), the stop test (at window barriers rather than every
+// cycle) and the probe (buffered per lane and replayed). So a sharded run
+// is not packet-for-packet comparable with RunImplicit, and its Lanes value
+// is part of its identity; what it preserves is the model: same injection
+// law per node, same routing, same link service, same fault semantics.
 package netsim
 
 import (
@@ -111,9 +116,6 @@ func (cfg *ShardedConfig) normalize() error {
 	if cfg.NewLane == nil {
 		return fmt.Errorf("netsim: sharded runs need a NewLane factory")
 	}
-	if cfg.InjectionRate < 0 || cfg.InjectionRate > 1 {
-		return fmt.Errorf("netsim: injection rate %v out of [0,1]", cfg.InjectionRate)
-	}
 	if cfg.Lanes < 1 {
 		cfg.Lanes = 64
 	}
@@ -122,18 +124,6 @@ func (cfg *ShardedConfig) normalize() error {
 	}
 	if cfg.Shards > cfg.Lanes {
 		cfg.Shards = cfg.Lanes
-	}
-	if cfg.OffModulePeriod < 1 {
-		cfg.OffModulePeriod = 1
-	}
-	if cfg.DrainCycles == 0 {
-		cfg.DrainCycles = 10 * (cfg.WarmupCycles + cfg.MeasureCycles)
-	}
-	if cfg.Flits < 1 {
-		cfg.Flits = 1
-	}
-	if cfg.MaxHops < 1 {
-		cfg.MaxHops = 4096
 	}
 	return nil
 }
@@ -153,58 +143,6 @@ type laneSend struct {
 	cycle int
 	node  int64
 	pkt   epacket
-}
-
-// laneChange is a scheduled fault event in the form every lane applies.
-type laneChange struct {
-	kind FaultKind
-	u, v int64
-	down bool
-}
-
-// planChanges buckets the plan by cycle and returns the last event cycle
-// (-1 for an empty plan). The map is built once and read concurrently.
-func planChanges(p *FaultPlan) (map[int][]laneChange, int) {
-	changesAt := map[int][]laneChange{}
-	lastChange := -1
-	for _, ev := range p.sorted() {
-		changesAt[ev.Cycle] = append(changesAt[ev.Cycle], laneChange{kind: ev.Kind, u: int64(ev.U), v: int64(ev.V), down: true})
-		if ev.Cycle > lastChange {
-			lastChange = ev.Cycle
-		}
-		if ev.Transient() {
-			changesAt[ev.Repair] = append(changesAt[ev.Repair], laneChange{kind: ev.Kind, u: int64(ev.U), v: int64(ev.V), down: false})
-			if ev.Repair > lastChange {
-				lastChange = ev.Repair
-			}
-		}
-	}
-	return changesAt, lastChange
-}
-
-// simLane is one lane: an engine plus everything it owns.
-type simLane struct {
-	idx    int
-	topo   Topology
-	router Router
-	faults FaultSink
-	eng    *engine
-	sparse *sparseLinks
-	rng    *rand.Rand
-	log    *obs.EventLog
-	outbox [][]laneSend // indexed by destination lane
-
-	st         FaultStats
-	latencySum int64
-	inFlight   int // measured packets injected here minus measured packets retired here (may go negative; the lane sum is the global in-flight count)
-	nOwned     int64
-	nextSeq    int64
-	err        error
-
-	statser                 routerStatser
-	routerBase              obs.RouterStats
-	counter                 rerouteCounter
-	rerouteBase, detourBase uint64
 }
 
 // RunSharded executes the implicit-topology simulation partitioned into
@@ -239,7 +177,6 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 	if n < 2 {
 		return out, fmt.Errorf("netsim: need a topology with at least 2 nodes")
 	}
-	directed := lanes[0].topo.Directed()
 	for _, ln := range lanes[1:] {
 		if ln.topo.N() != n {
 			return out, fmt.Errorf("netsim: lane %d topology has %d nodes, lane 0 has %d", ln.idx, ln.topo.N(), n)
@@ -257,247 +194,49 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 		return out, fmt.Errorf("netsim: module space covers %d*%d nodes, topology has %d",
 			space.Modules(), space.ModuleSize(), n)
 	}
+	run := &laneRun{rate: cfg.InjectionRate, warmup: cfg.WarmupCycles, measure: cfg.MeasureCycles,
+		drain: cfg.DrainCycles, flits: cfg.Flits, cutThrough: cfg.CutThrough,
+		offPeriod: cfg.OffModulePeriod, maxHops: cfg.MaxHops, pattern: cfg.Pattern, plan: cfg.Plan}
+	if err := run.init(lanes[0].topo); err != nil {
+		return out, err
+	}
 	L := int64(cfg.Lanes)
-	laneOf := func(u int64) int { return int(space.Module(u) % L) }
-	period := func(u, v int64) int {
+	run.lanes = L
+	run.laneOf = func(u int64) int { return int(space.Module(u) % L) }
+	run.period = func(u, v int64) int {
 		if cfg.Space == nil || space.Module(u) == space.Module(v) {
 			return 1
 		}
-		return cfg.OffModulePeriod
+		return run.offPeriod
 	}
 	// The conservative lookahead: every cross-lane link crosses a module
 	// boundary, so its delay is exactly this many cycles and arrivals from
 	// window k land in window k+1 or later.
 	crossPeriod := 1
 	if cfg.Space != nil {
-		crossPeriod = cfg.OffModulePeriod
+		crossPeriod = run.offPeriod
 	}
 	window := crossPeriod
-	if !cfg.CutThrough {
-		window *= cfg.Flits
+	if !run.cutThrough {
+		window *= run.flits
 	}
-	ringLen := crossPeriod*cfg.Flits + 1
-
-	total := cfg.WarmupCycles + cfg.MeasureCycles
-	deadline := total + cfg.DrainCycles
-	changesAt, lastChange := planChanges(cfg.Plan)
+	run.ringLen = crossPeriod*run.flits + 1
+	total, deadline := run.total, run.deadline
 	M, S := space.Modules(), space.ModuleSize()
 
 	for _, ln := range lanes {
-		ln := ln
+		base := int64(ln.idx)
 		ln.rng = rand.New(rand.NewSource(laneSeed(cfg.Seed, ln.idx)))
 		ln.outbox = make([][]laneSend, cfg.Lanes)
-		ln.sparse = newSparseLinks(ln.topo)
-		if int64(ln.idx) < M {
-			ln.nOwned = ((M-1-int64(ln.idx))/L + 1) * S
+		if base < M {
+			ln.nOwned = ((M-1-base)/L + 1) * S
 		}
-		ln.statser, _ = ln.router.(routerStatser)
-		if ln.statser != nil {
-			ln.routerBase = ln.statser.RouterStats()
-		}
-		ln.counter, _ = ln.router.(rerouteCounter)
-		if ln.counter != nil {
-			ln.rerouteBase, ln.detourBase = ln.counter.RerouteCounts()
-		}
-		ln.eng = &engine{
-			store:      ln.sparse,
-			ring:       make([][]earrival, ringLen),
-			flits:      cfg.Flits,
-			cutThrough: cfg.CutThrough,
-			period:     period,
-			total:      total,
-			deadline:   deadline,
-			hopLimit:   cfg.MaxHops,
-			canStop:    func(int) bool { return false }, // the coordinator stops runs at barriers
-		}
+		ln.srcOf = func(i int64) int64 { return space.ModuleNode(base+(i/S)*L, i%S) }
 		if cfg.Probe != nil {
 			ln.log = &obs.EventLog{}
-			ln.eng.pb = ln.log
+			ln.pb = ln.log
 		}
-		e, pb := ln.eng, ln.eng.pb
-		lose := func(now int, at int64, pkt *epacket, reason obs.DropReason) {
-			if pkt.measured {
-				ln.st.Lost++
-				ln.inFlight--
-			}
-			if pb != nil {
-				pb.Drop(now, pkt.id, at, reason)
-			}
-		}
-		e.deliver = func(now int, at int64, pkt *epacket) {
-			lat := now - pkt.born
-			if pkt.measured {
-				ln.st.Delivered++
-				if pkt.degraded {
-					ln.st.DeliveredDegraded++
-				}
-				ln.inFlight--
-				ln.latencySum += int64(lat)
-				if lat > ln.st.MaxLatency {
-					ln.st.MaxLatency = lat
-				}
-			}
-			if pb != nil {
-				pb.Deliver(now, pkt.id, at, lat, pkt.measured)
-			}
-		}
-		flagged, _ := ln.router.(flaggedRouter)
-		e.route = func(now int, at int64, pkt *epacket) (int64, bool, error) {
-			var nh int64
-			var detoured bool
-			var err error
-			if faulty && flagged != nil {
-				nh, detoured, err = flagged.NextHopFlagged(at, pkt.dst)
-			} else {
-				nh, err = ln.router.NextHop(at, pkt.dst)
-			}
-			if err != nil {
-				if !faulty {
-					return 0, false, err
-				}
-				lose(now, at, pkt, obs.DropNoRoute)
-				return 0, false, nil
-			}
-			pkt.degraded = pkt.degraded || detoured
-			return nh, true, nil
-		}
-		e.onHopLimit = func(now int, at int64, pkt *epacket) error {
-			if !faulty {
-				return fmt.Errorf("netsim: packet for %d exceeded %d hops at %d (router livelock?)", pkt.dst, cfg.MaxHops, at)
-			}
-			if pkt.measured {
-				ln.st.HopLimitDrops++
-			}
-			lose(now, at, pkt, obs.DropHopLimit)
-			return nil
-		}
-		e.crossSend = func(now, delay int, dst int64, pkt epacket) bool {
-			d := laneOf(dst)
-			if d == ln.idx {
-				return false
-			}
-			ln.outbox[d] = append(ln.outbox[d], laneSend{cycle: now + delay, node: dst, pkt: pkt})
-			return true
-		}
-		e.inject = func(now int) error {
-			for k := injectionCount(ln.nOwned, cfg.InjectionRate, ln.rng); k > 0; k-- {
-				i := ln.rng.Int63n(ln.nOwned)
-				src := space.ModuleNode(int64(ln.idx)+(i/S)*L, i%S)
-				var dst int64
-				if cfg.Pattern != nil {
-					dst = cfg.Pattern(src, n, ln.rng)
-				} else {
-					dst = uniformDst64(src, n, ln.rng)
-				}
-				if dst == src || dst < 0 || dst >= n {
-					continue
-				}
-				if faulty && (ln.faults.NodeDown(src) || ln.faults.NodeDown(dst)) {
-					continue // dead sources stay silent; dead sinks are skipped
-				}
-				measured := now >= cfg.WarmupCycles
-				if measured {
-					ln.st.Injected++
-					ln.inFlight++
-				}
-				id := ln.nextSeq*L + int64(ln.idx) // unique and Shards-independent
-				ln.nextSeq++
-				if pb != nil {
-					pb.Inject(now, id, src, dst, measured)
-				}
-				if err := e.enqueue(now, src, epacket{id: id, dst: dst, born: now, measured: measured}); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if faulty {
-			strand := func(now int, lk *elink) error {
-				q := lk.queue
-				lk.queue = nil
-				for _, pkt := range q {
-					if err := e.enqueue(now, lk.u, pkt); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			// Every lane applies the liveness change to its own sink (the
-			// routers need global knowledge); only the lane owning the
-			// affected queues performs the side effects and emits the probe
-			// event.
-			applyChange := func(now int, c laneChange) error {
-				switch c.kind {
-				case NodeFault:
-					owned := laneOf(c.u) == ln.idx
-					if owned && pb != nil {
-						pb.Fault(now, c.u, -1, true, c.down)
-					}
-					if !c.down {
-						ln.faults.RepairNode(c.u)
-						return nil
-					}
-					ln.faults.FailNode(c.u)
-					if owned && ln.faults.NodeDown(c.u) {
-						ln.sparse.eachFrom(c.u, func(lk *elink) {
-							for i := range lk.queue {
-								lose(now, c.u, &lk.queue[i], obs.DropQueueKilled)
-							}
-							lk.queue = nil
-						})
-					}
-				case LinkFault:
-					if laneOf(c.u) == ln.idx && pb != nil {
-						pb.Fault(now, c.u, c.v, false, c.down)
-					}
-					if !c.down {
-						ln.faults.RepairLink(c.u, c.v)
-						if !directed {
-							ln.faults.RepairLink(c.v, c.u)
-						}
-						return nil
-					}
-					ln.faults.FailLink(c.u, c.v)
-					if !directed {
-						ln.faults.FailLink(c.v, c.u)
-					}
-					for _, arc := range [2][2]int64{{c.u, c.v}, {c.v, c.u}} {
-						if directed && arc != [2]int64{c.u, c.v} {
-							continue
-						}
-						if laneOf(arc[0]) != ln.idx {
-							continue
-						}
-						if lk := ln.sparse.peek(arc[0], arc[1]); lk != nil && len(lk.queue) > 0 {
-							if err := strand(now, lk); err != nil {
-								return err
-							}
-						}
-					}
-				}
-				return nil
-			}
-			e.applyChanges = func(now int) error {
-				if cs, hit := changesAt[now]; hit {
-					for _, c := range cs {
-						if err := applyChange(now, c); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			}
-			e.arrivalDead = func(now int, node int64, pkt *epacket) bool {
-				if ln.faults.NodeDown(node) {
-					lose(now, node, pkt, obs.DropDeadRouter)
-					return true
-				}
-				return false
-			}
-			e.blocked = func(lk *elink) bool {
-				return ln.faults.NodeDown(lk.u) || ln.faults.LinkDown(lk.u, lk.v)
-			}
-		}
+		ln.build(run)
 	}
 
 	// The window loop: lanes run [start, end) in parallel, then the
@@ -510,7 +249,7 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 			for _, ln := range lanes {
 				inFlight += ln.inFlight
 			}
-			if inFlight == 0 && start > lastChange {
+			if run.drained(start, inFlight) {
 				break
 			}
 		}
@@ -544,7 +283,7 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 			for _, src := range lanes {
 				box := src.outbox[dst.idx]
 				for _, snd := range box {
-					slot := snd.cycle % ringLen
+					slot := snd.cycle % run.ringLen
 					dst.eng.ring[slot] = append(dst.eng.ring[slot], earrival{node: snd.node, pkt: snd.pkt})
 				}
 				src.outbox[dst.idx] = box[:0]
@@ -564,57 +303,7 @@ func RunSharded(cfg ShardedConfig) (ImplicitFaultStats, error) {
 		start = end
 	}
 
-	st := &out.FaultStats
-	var latencySum int64
-	inFlight := 0
-	anyRouterStats := false
-	for _, ln := range lanes {
-		st.Injected += ln.st.Injected
-		st.Delivered += ln.st.Delivered
-		st.Lost += ln.st.Lost
-		st.DeliveredDegraded += ln.st.DeliveredDegraded
-		st.HopLimitDrops += ln.st.HopLimitDrops
-		if ln.st.MaxLatency > st.MaxLatency {
-			st.MaxLatency = ln.st.MaxLatency
-		}
-		latencySum += ln.latencySum
-		inFlight += ln.inFlight
-		if ln.counter != nil {
-			re, dh := ln.counter.RerouteCounts()
-			st.RerouteEvents += int(re - ln.rerouteBase)
-			st.MisroutedHops += int(dh - ln.detourBase)
-		}
-		if ln.statser != nil {
-			anyRouterStats = true
-			out.Router = out.Router.Add(ln.statser.RouterStats().Delta(ln.routerBase))
-		}
-	}
-	st.Expired = inFlight
-	if st.Delivered > 0 {
-		st.AvgLatency = float64(latencySum) / float64(st.Delivered)
-	}
-	if cfg.MeasureCycles > 0 {
-		st.Throughput = float64(st.Delivered) / float64(n) / float64(cfg.MeasureCycles)
-	}
-	if faulty {
-		// Fault event accounting is deterministic from the plan and the stop
-		// cycle (every lane applied the same events at the same cycles).
-		for _, ev := range cfg.Plan.sorted() {
-			if ev.Cycle < start {
-				st.FaultsInjected++
-			}
-			if ev.Transient() && ev.Repair < start {
-				st.FaultsRepaired++
-			}
-		}
-	}
-	st.fillQuantiles(cfg.Probe)
-	if anyRouterStats {
-		if ro, ok := cfg.Probe.(obs.RouterObserver); ok {
-			ro.ObserveRouter(out.Router)
-		}
-	}
-	return out, nil
+	return run.fold(lanes, start, cfg.Probe), nil
 }
 
 // runWindow steps the lane's engine through cycles [start, end); an error
