@@ -226,6 +226,34 @@ func BenchmarkAlgebraicRoute(b *testing.B) {
 	}
 }
 
+// BenchmarkImplicitAdjacent measures the link store's per-hop adjacency
+// check on the implicit topology of sym-HSN(3;Q4): unrank both endpoints and
+// compare every generator image of the tail's label with the head's label.
+// The arcs are real ones, as on the simulator's hop path.
+func BenchmarkImplicitAdjacent(b *testing.B) {
+	net := superip.HSN(3, superip.NucleusHypercube(4)).SymmetricVariant()
+	imp, err := topo.NewImplicit(net.Super())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := imp.N()
+	arcs := make([][2]int64, 1024)
+	var nbrs []int64
+	for i := range arcs {
+		u := int64(i) * 2654435761 % n
+		nbrs = imp.Neighbors(u, nbrs)
+		arcs[i] = [2]int64{u, nbrs[i%len(nbrs)]}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := arcs[i%len(arcs)]
+		if !imp.Adjacent(a[0], a[1]) {
+			b.Fatalf("arc %d -> %d not adjacent", a[0], a[1])
+		}
+	}
+}
+
 // BenchmarkFaultAwareRoute measures fault-aware routing on the implicit
 // sym-HSN(3;Q4) with a fixed set of live link faults: most pairs route
 // clean (pure wrapper overhead over BenchmarkAlgebraicRoute), the rest pay

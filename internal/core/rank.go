@@ -104,14 +104,20 @@ func (r *Ranker) LabelLen() int { return r.l * r.m }
 
 // colorOf returns the color class of a super-symbol block of a symmetric
 // label: block symbols lie in (c*m, (c+1)*m] for color c.
-func (r *Ranker) colorOf(block symbols.Label) (int, error) {
+func colorOf(block symbols.Label, m int) int {
 	min := block[0]
 	for _, v := range block[1:] {
 		if v < min {
 			min = v
 		}
 	}
-	c := (int(min) - 1) / r.m
+	return (int(min) - 1) / m
+}
+
+// colorOf is colorOf for this graph's blocks; it errors on a color outside
+// [0, l).
+func (r *Ranker) colorOf(block symbols.Label) (int, error) {
+	c := colorOf(block, r.m)
 	if c < 0 || c >= r.l {
 		return 0, fmt.Errorf("core: block %v has out-of-range color %d", block, c)
 	}
@@ -150,7 +156,9 @@ func (r *Ranker) Rank(x symbols.Label) (int64, error) {
 	if r.s.Symmetric {
 		ai, ok := r.arrIdx[string(colors[:r.l])]
 		if !ok {
-			return 0, fmt.Errorf("core: arrangement %v is not reachable", colors[:r.l])
+			// Format a copy: handing colors itself to fmt would move the
+			// array to the heap on every call, successful ones included.
+			return 0, fmt.Errorf("core: arrangement %v is not reachable", append([]byte(nil), colors[:r.l]...))
 		}
 		rank += ai * r.pow[r.l]
 	}
@@ -231,7 +239,9 @@ func (r *Ranker) ModuleOf(x symbols.Label) (int64, error) {
 		colors[0] = byte(missing)
 		ai, ok := r.arrIdx[string(colors[:r.l])]
 		if !ok {
-			return 0, fmt.Errorf("core: arrangement %v is not reachable", colors[:r.l])
+			// Format a copy: handing colors itself to fmt would move the
+			// array to the heap on every call, successful ones included.
+			return 0, fmt.Errorf("core: arrangement %v is not reachable", append([]byte(nil), colors[:r.l]...))
 		}
 		mod += ai * r.pow[r.l-1]
 	}

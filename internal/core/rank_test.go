@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/perm"
@@ -154,8 +155,34 @@ func TestRankerRejectsNonVertices(t *testing.T) {
 	for i := 0; i < m; i++ { // swap blocks 0 and 1: arrangement (1 0 2)
 		lbl[i], lbl[m+i] = lbl[m+i], lbl[i]
 	}
-	if _, err := ry.Rank(lbl); err == nil {
-		t.Fatal("unreachable arrangement accepted")
+	if _, err := ry.Rank(lbl); err == nil || !strings.Contains(err.Error(), "arrangement [1 0 2] is not reachable") {
+		t.Fatalf("unreachable arrangement: error %v", err)
+	}
+}
+
+// TestRankerAllocs guards the hot-path cost of the closed-form bijection:
+// Rank and ModuleOf of a valid label allocate nothing, on every grid family.
+func TestRankerAllocs(t *testing.T) {
+	for name, s := range rankerGrid() {
+		r, err := s.Ranker()
+		if err != nil {
+			t.Fatalf("%s: ranker: %v", name, err)
+		}
+		lbl := r.Unrank(r.N()-1, nil)
+		if a := testing.AllocsPerRun(100, func() {
+			if _, err := r.Rank(lbl); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%s: Rank allocates %.1f times", name, a)
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			if _, err := r.ModuleOf(lbl); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%s: ModuleOf allocates %.1f times", name, a)
+		}
 	}
 }
 

@@ -98,6 +98,39 @@ func BenchmarkRunImplicitQ6(b *testing.B) {
 	}
 }
 
+// BenchmarkRunImplicitHSN2Q5 is one whole RunImplicit run with algebraic
+// routing: HSN(2;Q5) (N = 1,024, 32 modules) at 2% load with off-module
+// period 4, a fresh Implicit + Algebraic pair per run. Unlike the e-cube
+// rows above, every hop pays the Theorem 4.1 router and the link store's
+// adjacency check on a super-IP label space. pkts/s is delivered measured
+// packets per wall-clock second.
+func BenchmarkRunImplicitHSN2Q5(b *testing.B) {
+	net := superip.HSN(2, superip.NucleusHypercube(5))
+	var delivered int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		imp, err := topo.NewImplicit(net.Super())
+		if err != nil {
+			b.Fatal(err)
+		}
+		air, err := topo.NewAlgebraic(net.Super())
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := RunImplicit(ImplicitConfig{
+			Topo: imp, Router: air, ModuleOf: imp.Module, OffModulePeriod: 4,
+			InjectionRate: 0.02, WarmupCycles: 50, MeasureCycles: 300,
+			Seed: int64(i),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		delivered += int64(st.Delivered)
+	}
+	b.ReportMetric(float64(delivered)/b.Elapsed().Seconds(), "pkts/s")
+}
+
 // BenchmarkRunImplicitQ6Probed measures the BenchmarkRunImplicitQ6 workload
 // with collectors attached (latency histogram, module-aggregated series, and
 // a sparse per-link time series) — the price of observing an implicit run.

@@ -1,8 +1,9 @@
 // The unified simulation engine. Every public entry point runs the one
 // engine in this file: one packet struct (epacket), one link-FIFO/active-
-// list core (linkStore: dense for materialized graphs, sparse for implicit
-// topologies), one future-arrival ring, one injection sampler, and one
-// per-cycle phase order
+// list core (linkStore: dense for materialized graphs, with one FIFO per
+// edge; sparse for implicit topologies, with FIFOs keyed by arc (u, v) that
+// exist only while busy), one future-arrival ring, one injection sampler,
+// and one per-cycle phase order
 //
 //	tick → apply topology changes → deliver arrivals → fire retransmission
 //	timers → inject (or test the drain break) → advance links
@@ -28,7 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -55,9 +56,47 @@ type epacket struct {
 // liveness in its FaultSink instead.
 type elink struct {
 	u, v    int64
-	queue   []epacket
+	queue   []epacket // the queued packets are queue[head:], oldest first
+	head    int
 	freeAt  int
 	downCnt int
+}
+
+// pending returns the queued packets, oldest first.
+func (lk *elink) pending() []epacket { return lk.queue[lk.head:] }
+
+// push appends pkt. Pops only advance head, so the array keeps its front; a
+// full array is compacted when at least half of it has been popped and
+// grown otherwise, which keeps both operations amortized O(1).
+func (lk *elink) push(pkt epacket) {
+	if len(lk.queue) == cap(lk.queue) && lk.head > 0 {
+		live := lk.queue[lk.head:]
+		if 2*lk.head >= len(lk.queue) {
+			lk.queue = lk.queue[:copy(lk.queue, live)]
+		} else {
+			lk.queue = append(make([]epacket, 0, 2*cap(lk.queue)), live...)
+		}
+		lk.head = 0
+	}
+	lk.queue = append(lk.queue, pkt)
+}
+
+// pop removes and returns the oldest packet; the FIFO must not be empty.
+func (lk *elink) pop() epacket {
+	pkt := lk.queue[lk.head]
+	lk.head++
+	if lk.head == len(lk.queue) {
+		lk.queue, lk.head = lk.queue[:0], 0
+	}
+	return pkt
+}
+
+// take empties the FIFO and returns the packets it held. The array goes
+// with them: a caller re-routing them may push onto this FIFO meanwhile.
+func (lk *elink) take() []epacket {
+	q := lk.pending()
+	lk.queue, lk.head = nil, 0
+	return q
 }
 
 // earrival is one scheduled packet arrival in the future-arrival ring.
@@ -70,8 +109,7 @@ type earrival struct {
 // FIFOs are stored and in what deterministic order the advance phase visits
 // them. denseLinks materializes one FIFO per directed edge of a
 // *graph.Graph; sparseLinks keeps only links that currently hold (or
-// recently transmitted) a packet, keyed by the implicit topology's
-// (node, port) pair.
+// recently transmitted) a packet, keyed by their arc (u, v).
 type linkStore interface {
 	// get returns the FIFO of arc u->v, creating it if needed. It errors
 	// when v is not a neighbor of u — a routing-layer bug.
@@ -89,6 +127,7 @@ type engine struct {
 	pb         obs.Probe
 	store      linkStore
 	ring       [][]earrival
+	hand       epacket // the packet enqueue is routing
 	flits      int
 	cutThrough bool
 	period     func(u, v int64) int
@@ -184,15 +223,21 @@ func (e *engine) step(now int) (stop bool, err error) {
 
 // enqueue routes one packet copy at node `at`: deliver it, drop it on the
 // hop watchdog, or append it to the next hop's link FIFO.
-func (e *engine) enqueue(now int, at int64, pkt epacket) error {
+func (e *engine) enqueue(now int, at int64, in epacket) error {
+	// The hooks take the packet by pointer through func values, which
+	// escape analysis must assume retain it; handing them &in would move
+	// every routed packet to the heap. They get the engine's hand slot
+	// instead. No hook keeps the pointer or re-enters enqueue.
+	e.hand = in
+	pkt := &e.hand
 	if pkt.dst == at {
-		e.deliver(now, at, &pkt)
+		e.deliver(now, at, pkt)
 		return nil
 	}
 	if e.hopLimit > 0 && pkt.hops >= e.hopLimit {
-		return e.onHopLimit(now, at, &pkt)
+		return e.onHopLimit(now, at, pkt)
 	}
-	nh, ok, err := e.route(now, at, &pkt)
+	nh, ok, err := e.route(now, at, pkt)
 	if err != nil {
 		return err
 	}
@@ -203,17 +248,16 @@ func (e *engine) enqueue(now int, at int64, pkt epacket) error {
 	if err != nil {
 		return err
 	}
-	lk.queue = append(lk.queue, pkt)
+	lk.push(*pkt)
 	if e.pb != nil {
-		e.pb.Enqueue(now, pkt.id, at, nh, len(lk.queue))
+		e.pb.Enqueue(now, pkt.id, at, nh, len(lk.pending()))
 	}
 	return nil
 }
 
 // transmit moves the queue head of a free link onto the arrival ring.
 func (e *engine) transmit(now int, lk *elink) {
-	pkt := lk.queue[0]
-	lk.queue = lk.queue[1:]
+	pkt := lk.pop()
 	p := e.period(lk.u, lk.v)
 	occupy := p * e.flits
 	lk.freeAt = now + occupy
@@ -223,7 +267,7 @@ func (e *engine) transmit(now int, lk *elink) {
 	}
 	pkt.hops++
 	if e.pb != nil {
-		e.pb.Hop(now, pkt.id, lk.u, lk.v, occupy, len(lk.queue))
+		e.pb.Hop(now, pkt.id, lk.u, lk.v, occupy, len(lk.pending()))
 	}
 	if e.crossSend != nil && e.crossSend(now, delay, lk.v, pkt) {
 		return
@@ -278,7 +322,7 @@ func (d *denseLinks) advance(now int, e *engine) error {
 	for u := range d.links {
 		for s := range d.links[u] {
 			lk := &d.links[u][s]
-			if len(lk.queue) == 0 || lk.freeAt > now {
+			if len(lk.pending()) == 0 || lk.freeAt > now {
 				continue
 			}
 			if e.blocked != nil && e.blocked(lk) {
@@ -292,70 +336,80 @@ func (d *denseLinks) advance(now int, e *engine) error {
 
 // ---------------------------------------------------------------------------
 // Sparse link store: only links that currently hold or recently transmitted
-// a packet exist, keyed by u*maxDegree + port (port = index of the target in
-// u's sorted neighbor list). The active list keeps insertion order so the
-// advance phase — and therefore the whole run — is deterministic; idle links
-// are reclaimed. This is the link-FIFO key math previously copy-pasted
-// between the two implicit simulators.
+// a packet exist, keyed by their arc (u, v). Adjacency is checked once, when
+// a FIFO is created; a FIFO that exists was checked then. The active list
+// keeps insertion order so the advance phase — and therefore the whole run —
+// is deterministic; idle links go to a free list with their queue arrays.
+
+// adjacencyOracle is the optional Topology extension that answers whether
+// the arc u -> v exists without listing u's neighbors; topo.Implicit,
+// topo.Materialized and topo.HypercubeTopo implement it. Without it the
+// link store binary-searches Neighbors(u).
+type adjacencyOracle interface {
+	Adjacent(u, v int64) bool
+}
 
 type sparseLinks struct {
 	topo   Topology
-	deg    int64
-	links  map[int64]*elink
-	active []int64
+	adj    adjacencyOracle // nil: fall back to Neighbors
+	links  map[[2]int64]*elink
+	active []*elink
+	free   []*elink
 	nbrBuf []int64
 }
 
 func newSparseLinks(t Topology) *sparseLinks {
-	deg := int64(t.MaxDegree())
+	adj, _ := t.(adjacencyOracle)
 	return &sparseLinks{
 		topo:   t,
-		deg:    deg,
-		links:  make(map[int64]*elink),
-		nbrBuf: make([]int64, 0, deg),
+		adj:    adj,
+		links:  make(map[[2]int64]*elink),
+		nbrBuf: make([]int64, 0, t.MaxDegree()),
 	}
 }
 
-// port returns the index of v in u's sorted neighbor list, or -1 when v is
-// not a neighbor of u.
-func (s *sparseLinks) port(u, v int64) int {
-	s.nbrBuf = s.topo.Neighbors(u, s.nbrBuf)
-	p := sort.Search(len(s.nbrBuf), func(i int) bool { return s.nbrBuf[i] >= v })
-	if p == len(s.nbrBuf) || s.nbrBuf[p] != v {
-		return -1
+// adjacent reports whether the arc u -> v exists.
+func (s *sparseLinks) adjacent(u, v int64) bool {
+	if s.adj != nil {
+		return s.adj.Adjacent(u, v)
 	}
-	return p
+	s.nbrBuf = s.topo.Neighbors(u, s.nbrBuf)
+	_, ok := slices.BinarySearch(s.nbrBuf, v)
+	return ok
 }
 
 func (s *sparseLinks) get(u, v int64) (*elink, error) {
-	p := s.port(u, v)
-	if p < 0 {
+	if lk, ok := s.links[[2]int64{u, v}]; ok {
+		return lk, nil
+	}
+	if !s.adjacent(u, v) {
 		return nil, fmt.Errorf("netsim: next hop %d from %d is not a neighbor", v, u)
 	}
-	key := u*s.deg + int64(p)
-	lk, ok := s.links[key]
-	if !ok {
+	var lk *elink
+	if n := len(s.free); n > 0 {
+		lk = s.free[n-1]
+		s.free = s.free[:n-1]
+		lk.u, lk.v = u, v
+	} else {
 		lk = &elink{u: u, v: v}
-		s.links[key] = lk
-		s.active = append(s.active, key)
 	}
+	s.links[[2]int64{u, v}] = lk
+	s.active = append(s.active, lk)
 	return lk, nil
 }
 
 // peek returns the FIFO of arc u->v when it exists, nil otherwise (v not a
 // neighbor, or the link currently idle and reclaimed).
 func (s *sparseLinks) peek(u, v int64) *elink {
-	p := s.port(u, v)
-	if p < 0 {
-		return nil
-	}
-	return s.links[u*s.deg+int64(p)]
+	return s.links[[2]int64{u, v}]
 }
 
-// eachFrom visits the live FIFOs of u's outgoing links in port order.
+// eachFrom visits the live FIFOs of u's outgoing links u -> v in ascending
+// order of v, the order of Neighbors(u).
 func (s *sparseLinks) eachFrom(u int64, fn func(*elink)) {
-	for port := int64(0); port < s.deg; port++ {
-		if lk, ok := s.links[u*s.deg+port]; ok {
+	s.nbrBuf = s.topo.Neighbors(u, s.nbrBuf)
+	for _, v := range s.nbrBuf {
+		if lk, ok := s.links[[2]int64{u, v}]; ok {
 			fn(lk)
 		}
 	}
@@ -363,30 +417,28 @@ func (s *sparseLinks) eachFrom(u int64, fn func(*elink)) {
 
 func (s *sparseLinks) advance(now int, e *engine) error {
 	live := s.active[:0]
-	for _, key := range s.active {
-		lk := s.links[key]
-		if len(lk.queue) == 0 {
+	for _, lk := range s.active {
+		if len(lk.pending()) == 0 {
 			if lk.freeAt <= now {
-				delete(s.links, key)
+				delete(s.links, [2]int64{lk.u, lk.v})
+				*lk = elink{queue: lk.queue[:0]}
+				s.free = append(s.free, lk)
 				continue
 			}
-			live = append(live, key)
+			live = append(live, lk)
 			continue
 		}
 		if lk.freeAt > now {
-			live = append(live, key)
+			live = append(live, lk)
 			continue
 		}
 		if e.blocked != nil && e.blocked(lk) {
 			// Dead tail or dead link: the queue waits for a repair.
-			live = append(live, key)
+			live = append(live, lk)
 			continue
 		}
 		e.transmit(now, lk)
-		if len(lk.queue) == 0 {
-			lk.queue = nil // release the backing array of drained FIFOs
-		}
-		live = append(live, key)
+		live = append(live, lk)
 	}
 	s.active = live
 	return nil

@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/superip"
+	"repro/internal/topo"
 )
 
 // TestInjectionCountExactRegime pins the exact-Bernoulli regime (n <= 2^16):
@@ -146,5 +149,91 @@ func TestUniformDst64(t *testing.T) {
 		if c := counts[d]; math.Abs(float64(c)-want) > 0.1*want {
 			t.Fatalf("dst %d drawn %d times, want ~%.0f", d, c, want)
 		}
+	}
+}
+
+// TestSparseLinksGet checks the arc-keyed link store on both adjacency
+// paths — the topology's own Adjacent and the Neighbors fallback: a
+// neighbor gets a FIFO, a non-neighbor an error, a second get returns the
+// same FIFO without allocating, and a reclaimed FIFO is reused.
+func TestSparseLinksGet(t *testing.T) {
+	imp, err := topo.NewImplicit(superip.HSN(2, superip.NucleusHypercube(3)).Super())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tp := range map[string]Topology{
+		"implicit":     imp,
+		"hypercube":    topo.HypercubeTopo{Dim: 6},
+		"four-methods": fourMethods{imp},
+	} {
+		s := newSparseLinks(tp)
+		if (s.adj == nil) != (name == "four-methods") {
+			t.Errorf("%s: adjacency oracle picked up = %v", name, s.adj != nil)
+		}
+		const u = 5
+		nbrs := tp.Neighbors(u, nil)
+		v := nbrs[len(nbrs)-1]
+		lk, err := s.get(u, v)
+		if err != nil || lk.u != u || lk.v != v {
+			t.Fatalf("%s: get(%d, %d) = %+v, %v", name, u, v, lk, err)
+		}
+		if _, err := s.get(u, u); err == nil {
+			t.Errorf("%s: get(%d, %d) accepted a self-loop", name, u, u)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if again, err := s.get(u, v); err != nil || again != lk {
+				t.Fatalf("%s: second get(%d, %d) = %p, %v; want %p", name, u, v, again, err, lk)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: get on an existing FIFO allocates %.1f times", name, allocs)
+		}
+		// An idle FIFO is reclaimed by advance and reused for the next arc.
+		if err := s.advance(0, &engine{}); err != nil {
+			t.Fatal(err)
+		}
+		if s.peek(u, v) != nil || len(s.free) != 1 {
+			t.Fatalf("%s: idle FIFO not reclaimed (free list %d)", name, len(s.free))
+		}
+		if reused, err := s.get(u, nbrs[0]); err != nil || reused != lk {
+			t.Errorf("%s: free FIFO not reused: %p, %v; want %p", name, reused, err, lk)
+		}
+	}
+}
+
+// TestElinkFIFO drives a link FIFO through growth, compaction and draining
+// against a reference slice: packets leave in arrival order, the array stays
+// within a constant factor of the longest queue, and a drained FIFO keeps
+// its array.
+func TestElinkFIFO(t *testing.T) {
+	var lk elink
+	var want []int64
+	rng := rand.New(rand.NewSource(5))
+	next, peak := int64(0), 0
+	for step := 0; step < 20000; step++ {
+		if len(want) == 0 || rng.Intn(100) < 55-len(want)/40 {
+			lk.push(epacket{id: next})
+			want = append(want, next)
+			next++
+		} else {
+			if got := lk.pop().id; got != want[0] {
+				t.Fatalf("step %d: popped %d, want %d", step, got, want[0])
+			}
+			want = want[1:]
+		}
+		if got := lk.pending(); len(got) != len(want) || (len(got) > 0 && got[0].id != want[0]) {
+			t.Fatalf("step %d: %d pending from %v, want %d from %v", step, len(got), got[:min(1, len(got))], len(want), want[:min(1, len(want))])
+		}
+		peak = max(peak, len(want))
+		if cap(lk.queue) > 4*peak {
+			t.Fatalf("step %d: array of %d slots for at most %d packets", step, cap(lk.queue), peak)
+		}
+	}
+	for len(want) > 0 {
+		lk.pop()
+		want = want[1:]
+	}
+	if cap(lk.queue) == 0 || len(lk.queue) != 0 || lk.head != 0 {
+		t.Fatalf("drained FIFO: len %d cap %d head %d", len(lk.queue), cap(lk.queue), lk.head)
 	}
 }

@@ -349,12 +349,11 @@ func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
 					// Everything queued at the dead node is lost.
 					for s := range dense.links[c.u] {
 						lk := &dense.links[c.u][s]
-						if pb != nil {
-							for _, pkt := range lk.queue {
+						for _, pkt := range lk.take() {
+							if pb != nil {
 								pb.Drop(now, pkt.id, int64(c.u), obs.DropQueueKilled)
 							}
 						}
-						lk.queue = lk.queue[:0]
 					}
 				}
 			} else {
@@ -369,11 +368,9 @@ func runFaultyNormalized(cfg Config, fc FaultConfig) (FaultStats, error) {
 				lk := dense.at(int64(a), int64(b))
 				if c.down {
 					lk.downCnt++
-					if lk.downCnt == 1 && len(lk.queue) > 0 {
+					if lk.downCnt == 1 && len(lk.pending()) > 0 {
 						// Re-route the stranded queue from node a.
-						q := lk.queue
-						lk.queue = nil
-						for _, pkt := range q {
+						for _, pkt := range lk.take() {
 							if err := e.enqueue(now, int64(a), pkt); err != nil {
 								return err
 							}

@@ -238,3 +238,58 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// teleportRouter hands every packet its destination as the next hop, which
+// is a non-neighbor for most pairs: a routing-layer bug the link store must
+// catch.
+type teleportRouter struct{}
+
+func (teleportRouter) NextHop(cur, dst int64) (int64, error) { return dst, nil }
+
+// fourMethods hides every optional method of a topology: the link store sees
+// only N, MaxDegree, Directed and Neighbors.
+type fourMethods struct{ Topology }
+
+// TestNonNeighborHopAborts checks that a router returning a non-neighbor
+// aborts RunImplicit and RunSharded with the link store's error, both when
+// the topology answers adjacency itself (topo.Implicit) and when the store
+// must fall back to Neighbors (a topology exposing only the four Topology
+// methods).
+func TestNonNeighborHopAborts(t *testing.T) {
+	net := superip.HSN(2, superip.NucleusHypercube(3))
+	topos := map[string]func() Topology{
+		"implicit": func() Topology {
+			imp, err := topo.NewImplicit(net.Super())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return imp
+		},
+		"four-methods": func() Topology {
+			imp, err := topo.NewImplicit(net.Super())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fourMethods{imp}
+		},
+	}
+	space, err := topo.NewImplicit(net.Super())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, newTopo := range topos {
+		_, errSeq := RunImplicit(ImplicitConfig{Topo: newTopo(), Router: teleportRouter{},
+			InjectionRate: 0.05, WarmupCycles: 10, MeasureCycles: 100, Seed: 1})
+		_, errSh := RunSharded(ShardedConfig{
+			NewLane: func() (Topology, Router, FaultSink, error) {
+				return newTopo(), teleportRouter{}, nil, nil
+			},
+			Space: space, OffModulePeriod: 2, Lanes: 4,
+			InjectionRate: 0.05, WarmupCycles: 10, MeasureCycles: 100, Seed: 1})
+		for entry, err := range map[string]error{"RunImplicit": errSeq, "RunSharded": errSh} {
+			if err == nil || !contains(err.Error(), "is not a neighbor") {
+				t.Errorf("%s/%s: error %v, want a non-neighbor abort", name, entry, err)
+			}
+		}
+	}
+}

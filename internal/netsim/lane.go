@@ -301,9 +301,7 @@ func (ln *simLane) build(r *laneRun) {
 	// strand re-routes everything queued on a link that just died, from the
 	// link's tail node; dead-node drops are handled by applyChange.
 	strand := func(now int, lk *elink) error {
-		q := lk.queue
-		lk.queue = nil
-		for _, pkt := range q {
+		for _, pkt := range lk.take() {
 			if err := e.enqueue(now, lk.u, pkt); err != nil {
 				return err
 			}
@@ -331,10 +329,10 @@ func (ln *simLane) build(r *laneRun) {
 				// lost (first strike or overlapping, the queues are dead
 				// either way).
 				ln.sparse.eachFrom(c.u, func(lk *elink) {
-					for i := range lk.queue {
-						lose(now, c.u, &lk.queue[i], obs.DropQueueKilled)
+					q := lk.take()
+					for i := range q {
+						lose(now, c.u, &q[i], obs.DropQueueKilled)
 					}
-					lk.queue = nil
 				})
 			}
 		case LinkFault:
@@ -359,7 +357,7 @@ func (ln *simLane) build(r *laneRun) {
 				if !owns(arc[0]) {
 					continue
 				}
-				if lk := ln.sparse.peek(arc[0], arc[1]); lk != nil && len(lk.queue) > 0 {
+				if lk := ln.sparse.peek(arc[0], arc[1]); lk != nil && len(lk.pending()) > 0 {
 					if err := strand(now, lk); err != nil {
 						return err
 					}

@@ -2,7 +2,7 @@ package topo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/perm"
@@ -27,6 +27,7 @@ type Implicit struct {
 
 	lblBuf  symbols.Label // current-node label scratch
 	nbrBuf  symbols.Label // neighbor label scratch
+	adjBuf  symbols.Label // Adjacent's target label scratch
 	nameStr string
 }
 
@@ -45,6 +46,7 @@ func NewImplicit(s *core.SuperIP) (*Implicit, error) {
 		directed: !perm.ClosedUnderInverse(ip.Gens),
 		lblBuf:   make(symbols.Label, rk.LabelLen()),
 		nbrBuf:   make(symbols.Label, rk.LabelLen()),
+		adjBuf:   make(symbols.Label, rk.LabelLen()),
 		nameStr:  s.Name,
 	}, nil
 }
@@ -86,7 +88,7 @@ func (t *Implicit) Neighbors(u int64, buf []int64) []int64 {
 		}
 		buf = append(buf, id)
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf)
 	out := buf[:0]
 	var prev int64 = -1
 	for _, v := range buf {
@@ -98,8 +100,28 @@ func (t *Implicit) Neighbors(u int64, buf []int64) []int64 {
 	return out
 }
 
+// Adjacent reports whether the arc u -> v exists: whether some generator
+// maps u's label to v's. It unranks both endpoints and compares each
+// generator image with v's label, with no Rank and no sort. A node is not
+// adjacent to itself, and ids outside [0, N) are adjacent to nothing.
+func (t *Implicit) Adjacent(u, v int64) bool {
+	n := t.rk.N()
+	if u == v || u < 0 || u >= n || v < 0 || v >= n {
+		return false
+	}
+	t.lblBuf = t.rk.Unrank(u, t.lblBuf)
+	t.adjBuf = t.rk.Unrank(v, t.adjBuf)
+	for _, g := range t.gens {
+		g.Apply(t.nbrBuf, t.lblBuf)
+		if t.nbrBuf.Equal(t.adjBuf) {
+			return true
+		}
+	}
+	return false
+}
+
 // Label returns the label of node u. The result aliases internal scratch
-// and is valid until the next Label or Neighbors call.
+// and is valid until the next Label, Neighbors or Adjacent call.
 func (t *Implicit) Label(u int64) symbols.Label {
 	t.lblBuf = t.rk.Unrank(u, t.lblBuf)
 	return t.lblBuf
@@ -169,6 +191,13 @@ func (t HypercubeTopo) MaxDegree() int { return t.Dim }
 
 // Directed reports false: bit flips are involutions.
 func (t HypercubeTopo) Directed() bool { return false }
+
+// Adjacent reports whether u and v are distinct nodes differing in exactly
+// one bit.
+func (t HypercubeTopo) Adjacent(u, v int64) bool {
+	d := u ^ v
+	return u >= 0 && u < t.N() && v >= 0 && v < t.N() && d != 0 && d&(d-1) == 0
+}
 
 // Neighbors appends the Dim single-bit flips of u, sorted ascending.
 func (t HypercubeTopo) Neighbors(u int64, buf []int64) []int64 {

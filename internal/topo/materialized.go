@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/symbols"
@@ -38,6 +40,17 @@ func (t *Materialized) Neighbors(u int64, buf []int64) []int64 {
 		buf = append(buf, int64(v))
 	}
 	return buf
+}
+
+// Adjacent reports whether v is in u's adjacency list, by binary search.
+// Ids outside [0, N) are adjacent to nothing.
+func (t *Materialized) Adjacent(u, v int64) bool {
+	n := t.N()
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return false
+	}
+	_, ok := slices.BinarySearch(t.G.Neighbors(int32(u)), int32(v))
+	return ok
 }
 
 // Label returns the label of node u; it panics when no Index is attached.

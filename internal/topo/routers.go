@@ -69,6 +69,7 @@ type Algebraic struct {
 	codec  Labeled
 	srcBuf symbols.Label
 	dstBuf symbols.Label
+	idBuf  []int64 // Path's route, before it is copied out
 
 	// suffix carries in-flight source routes between NextHop calls, keyed by
 	// (current node, destination): Theorem 4.1/4.3 routes are computed at
@@ -172,23 +173,23 @@ func (a *Algebraic) RouterStats() RouterStats {
 	}
 }
 
-// Path returns the full algebraic route as node ids.
+// Path returns the full algebraic route as node ids. The walk ranks each
+// label as it is reached, so the returned slice is the only allocation.
 func (a *Algebraic) Path(src, dst int64) ([]int64, error) {
 	a.srcBuf = append(a.srcBuf[:0], a.codec.Label(src)...)
 	a.dstBuf = append(a.dstBuf[:0], a.codec.Label(dst)...)
-	p, err := a.r.Route(a.srcBuf, a.dstBuf)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(p.Labels))
-	for i, lbl := range p.Labels {
+	a.idBuf = append(a.idBuf[:0], src)
+	if err := a.r.Walk(a.srcBuf, a.dstBuf, func(_ int, lbl symbols.Label) error {
 		id := a.codec.ID(lbl)
 		if id < 0 {
-			return nil, fmt.Errorf("topo: route label %v is not a vertex", lbl)
+			return fmt.Errorf("topo: route label %v is not a vertex", lbl)
 		}
-		out[i] = id
+		a.idBuf = append(a.idBuf, id)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return append([]int64(nil), a.idBuf...), nil
 }
 
 // HypercubeRouter is e-cube routing on HypercubeTopo ids: correct the lowest

@@ -2,9 +2,11 @@ package topo
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/networks"
 	"repro/internal/superip"
@@ -81,6 +83,177 @@ func TestImplicitMatchesMaterialized(t *testing.T) {
 					t.Fatalf("%s: node %d: neighbors %v != %v", net.Name(), u, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestAdjacentMatchesNeighbors checks, exhaustively over every ordered pair
+// of nodes (u == v included) on the grid families, the implicit hypercube
+// and a materialized graph, that Adjacent(u, v) is exactly membership of v
+// in Neighbors(u), and that ids outside [0, N) are adjacent to nothing. The
+// grid must exercise the two cases a one-label check can get wrong: a
+// generator fixing a label of a repeated-seed plain graph (no self-loop
+// arc), and a directed family with one-way arcs.
+func TestAdjacentMatchesNeighbors(t *testing.T) {
+	type adjTopo interface {
+		Topology
+		Adjacent(u, v int64) bool
+	}
+	topos := map[string]adjTopo{"Q6": HypercubeTopo{Dim: 6}}
+	for _, net := range propertyGrid() {
+		imp, err := NewImplicit(net.Super())
+		if err != nil {
+			t.Fatalf("%s: implicit: %v", net.Name(), err)
+		}
+		topos[net.Name()] = imp
+	}
+	matNet := superip.HSN(3, superip.NucleusHypercube(2))
+	g, ix, err := matNet.BuildWithIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos["materialized "+matNet.Name()] = NewMaterialized(g, ix)
+
+	fixedLabels, oneWay := 0, 0
+	for name, tp := range topos {
+		n := tp.N()
+		var buf []int64
+		member := make([]bool, n)
+		for u := int64(0); u < n; u++ {
+			buf = tp.Neighbors(u, buf)
+			if imp, ok := tp.(*Implicit); ok && !imp.Super().Symmetric {
+				lbl := imp.Label(u).Clone()
+				for _, g := range imp.gens {
+					if lbl.Equal(g.Permuted(lbl)) {
+						fixedLabels++
+					}
+				}
+			}
+			for _, v := range buf {
+				member[v] = true
+			}
+			for v := int64(0); v < n; v++ {
+				if got := tp.Adjacent(u, v); got != member[v] {
+					t.Fatalf("%s: Adjacent(%d, %d) = %v, Neighbors(%d) = %v", name, u, v, got, u, buf)
+				}
+				if tp.Adjacent(u, v) != tp.Adjacent(v, u) {
+					oneWay++
+				}
+			}
+			for _, v := range buf {
+				member[v] = false
+			}
+			for _, v := range []int64{-1, n, n + 1} {
+				if tp.Adjacent(u, v) || tp.Adjacent(v, u) {
+					t.Fatalf("%s: out-of-range id %d adjacent to %d", name, v, u)
+				}
+			}
+		}
+	}
+	if fixedLabels == 0 {
+		t.Error("no grid node has a generator-fixed label: the self-loop case went unchecked")
+	}
+	if oneWay == 0 {
+		t.Error("no grid arc is one-way: the directed case went unchecked")
+	}
+}
+
+// TestRouterWarmMatchesCold checks that the router's caches (lifted
+// generators, covering schedules, nucleus trees, label scratch) never change
+// a route: a router that has served every earlier pair returns the same
+// Gens and Labels as a fresh one, and an Algebraic router over it the same
+// Path, for pairsPerFamily random pairs.
+func TestRouterWarmMatchesCold(t *testing.T) {
+	for _, net := range []*superip.Net{
+		superip.HSN(3, superip.NucleusHypercube(3)).SymmetricVariant(),
+		superip.HSN(3, superip.NucleusHypercube(2)),
+		superip.RingCN(3, superip.NucleusHypercube(2)).SymmetricVariant(),
+	} {
+		s := net.Super()
+		warm, err := core.NewRouter(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmAlg, err := NewAlgebraic(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imp, err := NewImplicit(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		n := imp.N()
+		for trial := 0; trial < pairsPerFamily; trial++ {
+			src, dst := rng.Int63n(n), rng.Int63n(n)
+			cold, err := core.NewRouter(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcLbl := imp.Label(src).Clone()
+			dstLbl := imp.Label(dst).Clone()
+			wp, werr := warm.Route(srcLbl, dstLbl)
+			cp, cerr := cold.Route(srcLbl, dstLbl)
+			if werr != nil || cerr != nil {
+				t.Fatalf("%s: Route(%d, %d): warm %v, cold %v", net.Name(), src, dst, werr, cerr)
+			}
+			if !reflect.DeepEqual(wp, cp) {
+				t.Fatalf("%s: Route(%d, %d): warm %+v, cold %+v", net.Name(), src, dst, wp, cp)
+			}
+			coldAlg, err := NewAlgebraic(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wPath, werr := warmAlg.Path(src, dst)
+			cPath, cerr := coldAlg.Path(src, dst)
+			if werr != nil || cerr != nil || !reflect.DeepEqual(wPath, cPath) {
+				t.Fatalf("%s: Path(%d, %d): warm %v %v, cold %v %v", net.Name(), src, dst, wPath, werr, cPath, cerr)
+			}
+		}
+	}
+}
+
+// TestHopLayerAllocs guards the allocation budget of the per-hop layers:
+// Neighbors and Adjacent allocate nothing, and a warm Algebraic.Path
+// allocates only the route it returns, on plain and symmetric graphs.
+func TestHopLayerAllocs(t *testing.T) {
+	for _, net := range []*superip.Net{
+		superip.HSN(2, superip.NucleusHypercube(5)),
+		superip.HSN(3, superip.NucleusHypercube(3)).SymmetricVariant(),
+	} {
+		imp, err := NewImplicit(net.Super())
+		if err != nil {
+			t.Fatal(err)
+		}
+		alg, err := NewAlgebraic(net.Super())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := imp.N()
+		buf := make([]int64, 0, imp.MaxDegree())
+		pairs := make([][2]int64, 64)
+		rng := rand.New(rand.NewSource(1))
+		for i := range pairs {
+			pairs[i] = [2]int64{rng.Int63n(n), rng.Int63n(n)}
+			if _, err := alg.Path(pairs[i][0], pairs[i][1]); err != nil { // warm the caches
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		next := func() [2]int64 { i++; return pairs[i%len(pairs)] }
+		if a := testing.AllocsPerRun(200, func() { buf = imp.Neighbors(next()[0], buf) }); a != 0 {
+			t.Errorf("%s: Neighbors allocates %.1f times", net.Name(), a)
+		}
+		if a := testing.AllocsPerRun(200, func() { p := next(); imp.Adjacent(p[0], p[1]) }); a != 0 {
+			t.Errorf("%s: Adjacent allocates %.1f times", net.Name(), a)
+		}
+		if a := testing.AllocsPerRun(200, func() {
+			p := next()
+			if _, err := alg.Path(p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
+		}); a > 1 {
+			t.Errorf("%s: warm Path allocates %.1f times, want <= 1", net.Name(), a)
 		}
 	}
 }
