@@ -16,7 +16,8 @@
 //	bench -diff BENCH_a.json BENCH_b.json
 //
 // Gate a fresh run against a committed baseline — exits 1 on a significant
-// over-budget regression, 2 on usage/infrastructure errors:
+// over-budget regression or on a gated benchmark the baseline has no row
+// for, 2 on usage/infrastructure errors:
 //
 //	bench -baseline BENCH_baseline.json \
 //	      -gate 'BuildHSN3Q4|Routing|Netsim:+10%' \
@@ -35,6 +36,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -122,18 +124,11 @@ func main() {
 			fatalf("bench -gate wants either -baseline <file> or two record files")
 		}
 		warnEnvMismatch(oldRun, newRun)
-		deltas := benchkit.Diff(oldRun, newRun, nil)
-		benchkit.FormatTable(os.Stdout, deltas)
-		violations := benchkit.Gate(deltas, budgets)
-		if len(violations) == 0 {
-			fmt.Println("\ngate: PASS")
+		violations, pass := gate(os.Stdout, oldRun, newRun, budgets)
+		if pass {
 			return
 		}
-		fmt.Printf("\ngate: FAIL (%d violation(s))\n", len(violations))
-		for _, v := range violations {
-			fmt.Printf("  %s\n", v)
-		}
-		if prof.CPUDir != "" || prof.MemDir != "" {
+		if len(violations) > 0 && (prof.CPUDir != "" || prof.MemDir != "") {
 			// Only meaningful when the regressed code is in this tree,
 			// i.e. the new run was recorded live or matches HEAD.
 			captureProfiles(newRun, benchkit.GatedNames(violations), prof)
@@ -160,6 +155,28 @@ func main() {
 			captureProfiles(run, names, prof)
 		}
 	}
+}
+
+// gate prints the delta table of newRun against oldRun and the verdict to
+// w. It passes when no delta breaks its budget and every gated benchmark of
+// newRun has a baseline row in oldRun; violations are the broken budgets.
+func gate(w io.Writer, oldRun, newRun *benchkit.Run, budgets []benchkit.Budget) (violations []benchkit.Violation, pass bool) {
+	deltas := benchkit.Diff(oldRun, newRun, nil)
+	benchkit.FormatTable(w, deltas)
+	violations = benchkit.Gate(deltas, budgets)
+	missing := benchkit.Unbaselined(oldRun, newRun, budgets)
+	if len(violations) == 0 && len(missing) == 0 {
+		fmt.Fprintln(w, "\ngate: PASS")
+		return nil, true
+	}
+	fmt.Fprintf(w, "\ngate: FAIL (%d violation(s), %d without a baseline row)\n", len(violations), len(missing))
+	for _, v := range violations {
+		fmt.Fprintf(w, "  %s\n", v)
+	}
+	for _, name := range missing {
+		fmt.Fprintf(w, "  no baseline row for %s\n", name)
+	}
+	return violations, false
 }
 
 func printRunSummary(run *benchkit.Run) {

@@ -235,6 +235,25 @@ func Gate(deltas []Delta, budgets []Budget) []Violation {
 	return out
 }
 
+// Unbaselined returns the benchmarks of new that a budget gates but old has
+// no result for, in new's order. Diff skips them, so Gate cannot see them;
+// a gate must fail on them rather than pass a benchmark it never checked.
+func Unbaselined(old, new *Run, budgets []Budget) []string {
+	var names []string
+	for _, r := range new.Results {
+		if old.Result(r.Name) != nil {
+			continue
+		}
+		for _, b := range budgets {
+			if b.Pattern.MatchString(r.Name) {
+				names = append(names, r.Name)
+				break
+			}
+		}
+	}
+	return names
+}
+
 // GatedNames returns the benchmark names among deltas that violated,
 // deduplicated — the set to capture profiles for.
 func GatedNames(violations []Violation) []string {

@@ -149,3 +149,26 @@ func TestFormatTableMarkers(t *testing.T) {
 		t.Errorf("significance markers wrong (star=%v tilde=%v):\n%s", starLine, tildeLine, out)
 	}
 }
+
+func TestUnbaselinedNamesGatedBenchmarksWithoutBaseline(t *testing.T) {
+	old := mkRun(map[string][]float64{"Routing": {50, 51, 49, 50, 52}})
+	cur := mkRun(map[string][]float64{
+		"Routing":          {50, 51, 49, 50, 52},
+		"InjectionSampler": {10, 11, 10, 10, 11}, // gated, no baseline row
+		"Ungated":          {1, 1, 1, 1, 1},      // not gated
+	})
+	budgets, err := ParseBudgets("^(Routing|InjectionSampler)$:allocs/op:+5%")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Diff skips the new benchmark, so Gate alone passes the run.
+	if v := Gate(Diff(old, cur, nil), budgets); len(v) != 0 {
+		t.Fatalf("violations = %+v", v)
+	}
+	if got := Unbaselined(old, cur, budgets); len(got) != 1 || got[0] != "InjectionSampler" {
+		t.Errorf("Unbaselined = %v, want [InjectionSampler]", got)
+	}
+	if got := Unbaselined(cur, cur, budgets); len(got) != 0 {
+		t.Errorf("self-comparison Unbaselined = %v", got)
+	}
+}

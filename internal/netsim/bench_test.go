@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/networks"
@@ -278,4 +280,27 @@ func BenchmarkRunImplicitSharded(b *testing.B) {
 		delivered += int64(st.Delivered)
 	}
 	b.ReportMetric(float64(delivered)/b.Elapsed().Seconds(), "pkts/s")
+}
+
+// BenchmarkInjectionSampler is the injection layer on its own: one op is one
+// cycle of the skip sampler over n nodes at light-sym's rate (5e-5), i.e.
+// walking nextInjector from -1 to n. Its cost follows the injections per
+// cycle (inj/cycle), not n, and it allocates nothing.
+func BenchmarkInjectionSampler(b *testing.B) {
+	const rate = 5e-5
+	s := skipScale(rate)
+	for _, n := range []int64{16, 1024, 24576, 1 << 20} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			injected := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := nextInjector(-1, n, s, rng); j < n; j = nextInjector(j, n, s, rng) {
+					injected++
+				}
+			}
+			b.ReportMetric(float64(injected)/float64(b.N), "inj/cycle")
+		})
+	}
 }

@@ -2,8 +2,8 @@
 // engine in this file: one packet struct (epacket), one link-FIFO/active-
 // list core (linkStore: dense for materialized graphs, with one FIFO per
 // edge; sparse for implicit topologies, with FIFOs keyed by arc (u, v) that
-// exist only while busy), one future-arrival ring, one injection sampler,
-// and one per-cycle phase order
+// exist only while busy), one future-arrival ring, one injection law, and
+// one per-cycle phase order
 //
 //	tick → apply topology changes → deliver arrivals → fire retransmission
 //	timers → inject (or test the drain break) → advance links
@@ -18,11 +18,16 @@
 // RunImplicit, RunImplicitFaulty, RunSharded — share the one hook set of the
 // lane engine (lane.go).
 //
+// The injection law: every node makes one independent Bernoulli(rate) trial
+// per injection cycle. Run and RunFaulty draw it node by node; the lane
+// engine skips geometrically from one success to the next (nextInjector),
+// which is the same law at O(injections) rather than O(nodes) per cycle.
+//
 // Bit-for-bit compatibility contract: every variant must consume the run's
-// RNG in exactly the order the pre-refactor loops did (injection draws,
+// RNG in exactly the order its recorded fixtures did (injection draws,
 // adaptive/detour choices) and emit probe events in the same sequence.
 // TestEngineGoldenParity pins this against fixtures recorded from the
-// original loops.
+// original loops (the implicit ones from the geometric-skip sampler).
 package netsim
 
 import (
@@ -448,48 +453,34 @@ func (s *sparseLinks) advance(now int, e *engine) error {
 // Injection sampling, shared by the implicit simulators and the sharded
 // engine.
 
-// injectionCount draws the number of packets injected this cycle. Up to
-// 2^16 nodes the per-node Bernoulli draws are simulated exactly, matching
-// the materialized simulator's semantics; beyond that the aggregate count is
-// sampled from the Poisson approximation of Binomial(N, rate) (exact
-// multiplicative sampling for small means, a normal approximation above),
-// because iterating tens of millions of nodes every cycle would dominate the
-// run. Sources are then drawn uniformly, so one node can inject twice in a
-// cycle — a vanishing-probability event at the scales where the
-// approximation is active.
-func injectionCount(n int64, rate float64, rng *rand.Rand) int64 {
-	if n <= 1<<16 {
-		k := int64(0)
-		for i := int64(0); i < n; i++ {
-			if rng.Float64() < rate {
-				k++
-			}
-		}
-		return k
+// skipScale returns the scale s of the geometric skip for injection rate p:
+// the number of failed Bernoulli(p) trials before the next success is
+// ⌊E·s⌋ with E ~ Exp(1) and s = −1/ln(1−p), because P(⌊E·s⌋ ≥ k) =
+// e^(−k/s) = (1−p)^k. Rate 1 gives s = 0 (every trial succeeds); rate 0,
+// and rates too small for s to be finite (below about 5.6e-309), give +Inf
+// (none does).
+func skipScale(rate float64) float64 { return -1 / math.Log1p(-rate) }
+
+// nextInjector returns the first index j in (i, n) whose Bernoulli trial
+// succeeds this cycle, or n when none does; s is skipScale(rate). Walking
+// j = nextInjector(-1, …), nextInjector(j, …), … until n gives every one of
+// the n nodes one independent trial per cycle — the law of the materialized
+// simulator's per-node loop — with one ExpFloat64 per success plus one, so a
+// cycle costs O(injections + 1) whatever n is. Rates 0 and 1 draw nothing.
+func nextInjector(i, n int64, s float64, rng *rand.Rand) int64 {
+	switch {
+	case s == 0:
+		return i + 1
+	case math.IsInf(s, 1):
+		return n
 	}
-	lambda := float64(n) * rate
-	if lambda == 0 {
-		return 0
+	// Compared in float64, so a gap beyond int64 never reaches the
+	// conversion.
+	gap := math.Floor(rng.ExpFloat64() * s)
+	if !(gap < float64(n-1-i)) {
+		return n
 	}
-	if lambda < 30 {
-		// Knuth's multiplicative Poisson sampler.
-		limit := math.Exp(-lambda)
-		k := int64(-1)
-		p := 1.0
-		for p > limit {
-			k++
-			p *= rng.Float64()
-		}
-		return k
-	}
-	k := int64(math.Round(lambda + math.Sqrt(lambda)*rng.NormFloat64()))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
+	return i + 1 + int64(gap)
 }
 
 // uniformDst64 draws a uniformly random destination != src over [0, n).

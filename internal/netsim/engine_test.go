@@ -3,104 +3,184 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/superip"
 	"repro/internal/topo"
 )
 
-// TestInjectionCountExactRegime pins the exact-Bernoulli regime (n <= 2^16):
-// the count is the sum of n per-node coin flips, so rate 0 and rate 1 are
-// exact, the draw count is exactly n (the stream position after a call is
-// independent of the outcomes), and the empirical mean tracks n*rate.
-func TestInjectionCountExactRegime(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int64{1, 100, 1 << 16} {
-		if k := injectionCount(n, 0, rng); k != 0 {
-			t.Fatalf("n=%d rate=0: k=%d", n, k)
+// injectors walks one cycle of the skip sampler over n nodes and appends
+// the injecting indices to buf[:0].
+func injectors(n int64, s float64, rng *rand.Rand, buf []int64) []int64 {
+	buf = buf[:0]
+	for i := nextInjector(-1, n, s, rng); i < n; i = nextInjector(i, n, s, rng) {
+		buf = append(buf, i)
+	}
+	return buf
+}
+
+// binomialBins partitions the support of Binomial(n, p) into consecutive
+// bins with expected count >= 5 over rounds trials. upper[b] is the largest
+// k in bin b (the last bin is open above) and want[b] its expected count.
+func binomialBins(n int64, p float64, rounds int) (upper []int64, want []float64) {
+	lgN, _ := math.Lgamma(float64(n) + 1)
+	mean, sd := float64(n)*p, math.Sqrt(float64(n)*p*(1-p))
+	acc, cum := 0.0, 0.0
+	for k := int64(0); k <= n && float64(k) <= mean+12*sd+10; k++ {
+		lgK, _ := math.Lgamma(float64(k) + 1)
+		lgNK, _ := math.Lgamma(float64(n-k) + 1)
+		pmf := math.Exp(lgN - lgK - lgNK + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
+		acc += pmf * float64(rounds)
+		cum += pmf
+		if acc >= 5 {
+			upper, want = append(upper, k), append(want, acc)
+			acc = 0
 		}
-		if k := injectionCount(n, 1, rng); k != n {
-			t.Fatalf("n=%d rate=1: k=%d, want %d", n, k, n)
+	}
+	tail := acc + (1-cum)*float64(rounds)
+	if tail < 0 {
+		tail = 0
+	}
+	want[len(want)-1] += tail
+	return upper, want
+}
+
+// chiSquareCritical is the upper 1e-4 quantile of the chi-square law with df
+// degrees of freedom (Wilson–Hilferty).
+func chiSquareCritical(df int) float64 {
+	const z = 3.719 // upper 1e-4 normal quantile
+	d := float64(df)
+	c := 1 - 2/(9*d) + z*math.Sqrt(2/(9*d))
+	return d * c * c * c
+}
+
+// TestNextInjectorBinomialLaw checks the per-cycle injection count of the
+// skip sampler against the exact Binomial(n, rate) pmf with a chi-square
+// test, from one node to 2^20 and from light load to rate 0.9.
+func TestNextInjectorBinomialLaw(t *testing.T) {
+	cases := []struct {
+		n    int64
+		rate float64
+	}{
+		{1, 0.5}, {1, 0.9},
+		{8, 0.5}, {8, 0.9},
+		{16, 0.1}, {16, 0.5}, {16, 0.9},
+		{1024, 0.02}, {1024, 0.5}, {1024, 0.9},
+		{24576, 5e-5}, {24576, 0.02},
+		{1<<16 + 1, 2e-5}, {1<<16 + 1, 3e-4},
+		{1 << 20, 1e-5}, {1 << 20, 1e-3},
+	}
+	const rounds = 4000
+	var buf []int64
+	for ci, c := range cases {
+		rng := rand.New(rand.NewSource(int64(100 + ci)))
+		s := skipScale(c.rate)
+		upper, want := binomialBins(c.n, c.rate, rounds)
+		got := make([]float64, len(want))
+		for r := 0; r < rounds; r++ {
+			k := int64(len(injectors(c.n, s, rng, buf)))
+			b, _ := slices.BinarySearch(upper, k)
+			got[min(b, len(got)-1)]++
 		}
-	}
-	// Stream alignment: two RNGs from the same seed must stay in lockstep
-	// across a call regardless of rate, because every node always draws.
-	a, b := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
-	injectionCount(1000, 0.001, a)
-	injectionCount(1000, 0.999, b)
-	if x, y := a.Int63(), b.Int63(); x != y {
-		t.Fatalf("exact regime consumed rate-dependent draw counts: %d vs %d", x, y)
-	}
-	// Empirical mean over repeated cycles.
-	const n, rate, rounds = 4096, 0.01, 400
-	sum := int64(0)
-	for i := 0; i < rounds; i++ {
-		sum += injectionCount(n, rate, rng)
-	}
-	mean := float64(sum) / rounds
-	want := float64(n) * rate
-	if math.Abs(mean-want) > 0.15*want {
-		t.Fatalf("exact regime mean %.2f, want ~%.2f", mean, want)
+		chi2 := 0.0
+		for b := range want {
+			d := got[b] - want[b]
+			chi2 += d * d / want[b]
+		}
+		df := max(len(want)-1, 1)
+		if crit := chiSquareCritical(df); chi2 > crit {
+			t.Errorf("n=%d rate=%g: chi2 %.1f > %.1f (df %d): observed %v, expected %v",
+				c.n, c.rate, chi2, crit, df, got, want)
+		}
 	}
 }
 
-// TestInjectionCountPoissonRegime pins the small-lambda approximation branch
-// (n > 2^16, n*rate < 30): Knuth's multiplicative sampler, nonnegative, with
-// the right mean.
-func TestInjectionCountPoissonRegime(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const n = int64(1<<16) + 1 // smallest n on the approximate side of the boundary
-	rate := 29.0 / float64(n)  // lambda just under the 30 cutoff
-	const rounds = 2000
-	sum := int64(0)
-	for i := 0; i < rounds; i++ {
-		k := injectionCount(n, rate, rng)
-		if k < 0 {
-			t.Fatalf("negative count %d", k)
+// TestNextInjectorPerNode checks what the count test cannot see: indices
+// come out strictly increasing (no node injects twice in a cycle), every
+// node injects with the same marginal rate, and neighbouring nodes inject
+// independently (both in one cycle at rate^2).
+func TestNextInjectorPerNode(t *testing.T) {
+	const n, rate, rounds = 64, 0.1, 20000
+	rng := rand.New(rand.NewSource(9))
+	s := skipScale(rate)
+	perNode := make([]float64, n)
+	pairs := 0.0
+	var buf []int64
+	for r := 0; r < rounds; r++ {
+		buf = injectors(n, s, rng, buf)
+		for j, i := range buf {
+			if i < 0 || i >= n || (j > 0 && i <= buf[j-1]) {
+				t.Fatalf("round %d: injectors %v not strictly increasing in [0,%d)", r, buf, n)
+			}
+			perNode[i]++
+			if j > 0 && buf[j-1] == i-1 {
+				pairs++
+			}
 		}
-		sum += k
 	}
-	mean := float64(sum) / rounds
-	if math.Abs(mean-29.0) > 0.1*29.0 {
-		t.Fatalf("poisson regime mean %.2f, want ~29", mean)
+	mean, sd := rounds*rate, math.Sqrt(rounds*rate*(1-rate))
+	for i, c := range perNode {
+		if math.Abs(c-mean) > 5*sd {
+			t.Errorf("node %d injected %.0f times, want %.0f ± %.0f", i, c, mean, 5*sd)
+		}
 	}
-	if k := injectionCount(n, 0, rng); k != 0 {
-		t.Fatalf("lambda=0 must return 0, got %d", k)
+	pMean := float64(rounds*(n-1)) * rate * rate
+	if pSD := math.Sqrt(pMean); math.Abs(pairs-pMean) > 5*pSD {
+		t.Errorf("adjacent nodes injected together %.0f times, want %.0f ± %.0f", pairs, pMean, 5*pSD)
 	}
 }
 
-// TestInjectionCountNormalRegime pins the large-lambda branch (n > 2^16,
-// n*rate >= 30): normal approximation, clamped into [0, n].
-func TestInjectionCountNormalRegime(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n = int64(1 << 20)
-	const rate = 0.001 // lambda = 1048.576
-	lambda := float64(n) * rate
-	const rounds = 2000
-	sum := int64(0)
-	for i := 0; i < rounds; i++ {
-		k := injectionCount(n, rate, rng)
-		if k < 0 || k > n {
-			t.Fatalf("count %d outside [0,%d]", k, n)
+// TestNextInjectorEdgeRates drives the sampler at the ends of [0,1] on
+// populations up to 2^40: every result lies in (i, n], rate 0 and rate 1
+// draw nothing, and huge skips return n instead of overflowing.
+func TestNextInjectorEdgeRates(t *testing.T) {
+	const big = int64(1) << 40
+	check := func(rate float64, i, n, got int64) {
+		t.Helper()
+		if got <= i || got > n {
+			t.Fatalf("rate %g: nextInjector(%d, %d) = %d, outside (%d, %d]", rate, i, n, got, i, n)
 		}
-		sum += k
 	}
-	mean := float64(sum) / rounds
-	if math.Abs(mean-lambda) > 0.05*lambda {
-		t.Fatalf("normal regime mean %.2f, want ~%.2f", mean, lambda)
-	}
-	// The upper clamp: rate 1 makes the normal draw hug n; every sample
-	// must stay within the population.
-	for i := 0; i < 50; i++ {
-		if k := injectionCount(n, 1, rng); k > n {
-			t.Fatalf("clamp failed: %d > %d", k, n)
+	for _, rate := range []float64{0, 1, 1e-300, 1 - 1e-16, 5e-324} {
+		cs := &countingSource{src: rand.NewSource(3)}
+		rng := rand.New(cs)
+		s := skipScale(rate)
+		for _, n := range []int64{1, 2, 1024, big} {
+			for _, i := range []int64{-1, 0, n / 2, n - 2, n - 1} {
+				if i < -1 || i >= n {
+					continue
+				}
+				got := nextInjector(i, n, s, rng)
+				check(rate, i, n, got)
+				switch {
+				case rate == 1 && got != i+1:
+					t.Errorf("rate 1: nextInjector(%d, %d) = %d, want %d", i, n, got, i+1)
+				case (rate == 0 || rate == 5e-324) && got != n:
+					t.Errorf("rate %g: nextInjector(%d, %d) = %d, want %d", rate, i, n, got, n)
+				}
+			}
+			// A whole cycle from the top end of a 2^40 population: the count
+			// stays within the nodes walked.
+			k, start := int64(0), max(n-1000, -1)
+			for i := nextInjector(start, n, s, rng); i < n; i = nextInjector(i, n, s, rng) {
+				k++
+			}
+			if k > n-1-start {
+				t.Errorf("rate %g n=%d: %d injectors among the last %d nodes", rate, n, k, n-1-start)
+			}
+			if rate == 1e-300 && k != 0 {
+				t.Errorf("rate 1e-300 n=%d: %d injectors", n, k)
+			}
+		}
+		if (rate == 0 || rate == 1 || rate == 5e-324) && cs.draws != 0 {
+			t.Errorf("rate %g consumed %d draws, want none", rate, cs.draws)
 		}
 	}
 }
 
 // countingSource wraps a rand.Source and counts the raw Int63 draws pulled
-// through it — one per Float64, so it measures exactly how many per-node
-// draws a sampler consumed.
+// through it, so a test can measure how many draws a sampler consumed.
 type countingSource struct {
 	src   rand.Source
 	draws int
@@ -109,20 +189,26 @@ type countingSource struct {
 func (c *countingSource) Int63() int64 { c.draws++; return c.src.Int63() }
 func (c *countingSource) Seed(s int64) { c.src.Seed(s) }
 
-// TestInjectionCountRegimeBoundary checks the exact/approximate switch at
-// n = 2^16: at the boundary the exact sampler runs (one draw per node), one
-// node beyond it the aggregate samplers run (O(lambda) or O(1) draws).
-func TestInjectionCountRegimeBoundary(t *testing.T) {
-	drawsUsed := func(n int64, rate float64) int {
-		cs := &countingSource{src: rand.NewSource(42)}
-		injectionCount(n, rate, rand.New(cs))
-		return cs.draws
-	}
-	if got := drawsUsed(1<<16, 0.0001); got != 1<<16 {
-		t.Fatalf("n=2^16 used %d draws, want %d (exact regime)", got, 1<<16)
-	}
-	if got := drawsUsed(1<<16+1, 0.0001); got >= 1<<10 {
-		t.Fatalf("n=2^16+1 used %d draws, want O(lambda) (approximate regime)", got)
+// TestNextInjectorDrawCount pins the sampler's cost: a cycle with k
+// injections takes k+1 exponential draws (one raw draw each, bar the
+// ziggurat's rare rejections), the same at n = 2^10 as at n = 2^40.
+func TestNextInjectorDrawCount(t *testing.T) {
+	const lambda, rounds = 2.0, 5000
+	var buf []int64
+	for _, n := range []int64{1 << 10, 1 << 20, 1 << 40} {
+		cs := &countingSource{src: rand.NewSource(11)}
+		rng := rand.New(cs)
+		s := skipScale(lambda / float64(n))
+		calls := 0
+		for r := 0; r < rounds; r++ {
+			calls += len(injectors(n, s, rng, buf)) + 1
+		}
+		if cs.draws < calls || float64(cs.draws) > 1.05*float64(calls)+10 {
+			t.Errorf("n=%d: %d draws for %d sampler calls, want within 5%%", n, cs.draws, calls)
+		}
+		if per := float64(calls) / rounds; math.Abs(per-(lambda+1)) > 0.1 {
+			t.Errorf("n=%d: %.2f calls per cycle, want ~%.0f", n, per, lambda+1)
+		}
 	}
 }
 

@@ -35,9 +35,10 @@ type ImplicitConfig struct {
 	Topo   Topology
 	Router Router
 	// InjectionRate is the probability per node per cycle of injecting a
-	// packet. Per-node Bernoulli draws are simulated exactly for small
-	// networks and by a Poisson/normal approximation of the aggregate
-	// injection count for large ones (see injectionCount).
+	// packet: every node makes one independent Bernoulli trial per cycle,
+	// exactly as in Config, at any N. The sampler skips geometrically from
+	// one injecting node to the next (see nextInjector), so a cycle costs
+	// O(injections) draws, not O(N).
 	InjectionRate float64
 	// WarmupCycles, MeasureCycles, DrainCycles as in Config.
 	WarmupCycles, MeasureCycles, DrainCycles int
@@ -156,8 +157,8 @@ func RunImplicit(cfg ImplicitConfig) (ImplicitStats, error) {
 
 // runOneLane runs a normalized implicit configuration as one lane of the
 // lane engine (lane.go) that owns every node: the RNG is Seed's own stream,
-// sources are drawn in node id order, links cost OffModulePeriod across
-// ModuleOf boundaries, the probe sees events as they happen, and the
+// nodes make their injection trials in id order, links cost OffModulePeriod
+// across ModuleOf boundaries, the probe sees events as they happen, and the
 // engine's loop stops the run once no measured packet is in flight and the
 // plan is spent.
 func runOneLane(cfg *ImplicitConfig, plan *FaultPlan, faults FaultSink) (ImplicitFaultStats, error) {

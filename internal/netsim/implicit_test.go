@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/networks"
@@ -290,6 +291,33 @@ func TestNonNeighborHopAborts(t *testing.T) {
 			if err == nil || !contains(err.Error(), "is not a neighbor") {
 				t.Errorf("%s/%s: error %v, want a non-neighbor abort", name, entry, err)
 			}
+		}
+	}
+}
+
+// TestNaNInjectionRateRejected checks that every entry point refuses a NaN
+// injection rate, which slips past a `rate < 0 || rate > 1` test and would
+// otherwise run an idle network (or feed the skip sampler NaN gaps).
+func TestNaNInjectionRateRejected(t *testing.T) {
+	nan := math.NaN()
+	g, err := networks.Hypercube{Dim: 3}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ht := topo.HypercubeTopo{Dim: 3}
+	_, errRun := Run(Config{Graph: g, InjectionRate: nan, MeasureCycles: 10})
+	_, errFaulty := RunFaulty(Config{Graph: g, InjectionRate: nan, MeasureCycles: 10}, FaultConfig{})
+	_, errImp := RunImplicit(ImplicitConfig{Topo: ht, Router: topo.HypercubeRouter{Dim: 3},
+		InjectionRate: nan, MeasureCycles: 10})
+	_, errSh := RunSharded(ShardedConfig{
+		NewLane: func() (Topology, Router, FaultSink, error) {
+			return ht, topo.HypercubeRouter{Dim: 3}, nil, nil
+		},
+		Lanes: 2, InjectionRate: nan, MeasureCycles: 10})
+	for entry, err := range map[string]error{"Run": errRun, "RunFaulty": errFaulty,
+		"RunImplicit": errImp, "RunSharded": errSh} {
+		if err == nil || !contains(err.Error(), "injection rate NaN") {
+			t.Errorf("%s: error %v, want an injection-rate rejection", entry, err)
 		}
 	}
 }

@@ -8,9 +8,10 @@
 // window barriers (sharded.go).
 //
 // The entry points differ only in what they hand the lane engine — the
-// lane RNG, the source enumeration, the link period policy, the probe, the
-// ownership map, the script — never in the hooks themselves, so a semantic
-// fix to routing, delivery, drops or fault handling lands here once.
+// lane RNG, the owned-node enumeration, the link period policy, the probe,
+// the ownership map, the script — never in the hooks themselves, so a
+// semantic fix to routing, delivery, drops or fault handling lands here
+// once.
 package netsim
 
 import (
@@ -37,6 +38,7 @@ type laneRun struct {
 	plan *FaultPlan
 
 	// Derived by init.
+	skip       float64 // skipScale(rate), the injection sampler's scale
 	n          int64
 	directed   bool
 	total      int // warmup + measure: injection stops here
@@ -58,9 +60,10 @@ type laneRun struct {
 // init validates the caller-set fields against topology t, applies the
 // defaults the implicit configurations document, and derives the rest.
 func (r *laneRun) init(t Topology) error {
-	if r.rate < 0 || r.rate > 1 {
+	if !(r.rate >= 0 && r.rate <= 1) { // NaN fails too
 		return fmt.Errorf("netsim: injection rate %v out of [0,1]", r.rate)
 	}
+	r.skip = skipScale(r.rate)
 	if r.drain == 0 {
 		r.drain = 10 * (r.warmup + r.measure)
 	}
@@ -120,8 +123,9 @@ type simLane struct {
 	faults FaultSink
 	rng    *rand.Rand
 	pb     obs.Probe // the run's probe (one lane) or the lane's EventLog
-	// nOwned nodes inject here: source draw i in [0, nOwned) is node
-	// srcOf(i), or node i itself when srcOf is nil.
+	// nOwned nodes inject here: owned index i in [0, nOwned) is node
+	// srcOf(i), or node i itself when srcOf is nil. Each makes its own
+	// Bernoulli trial every injection cycle, in index order.
 	nOwned int64
 	srcOf  func(i int64) int64
 	script []Injection // injected after each cycle's random traffic, sorted by At
@@ -254,10 +258,11 @@ func (ln *simLane) build(r *laneRun) {
 		return e.enqueue(now, src, epacket{id: id, dst: dst, born: now, measured: measured})
 	}
 	e.inject = func(now int) error {
-		for k := injectionCount(ln.nOwned, r.rate, ln.rng); k > 0; k-- {
-			src := ln.rng.Int63n(ln.nOwned)
+		n := ln.nOwned
+		for i := nextInjector(-1, n, r.skip, ln.rng); i < n; i = nextInjector(i, n, r.skip, ln.rng) {
+			src := i
 			if ln.srcOf != nil {
-				src = ln.srcOf(src)
+				src = ln.srcOf(i)
 			}
 			var dst int64
 			if r.pattern != nil {

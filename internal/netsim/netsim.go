@@ -92,7 +92,7 @@ func (cfg *Config) normalize() error {
 	if cfg.OffModulePeriod < 1 {
 		cfg.OffModulePeriod = 1
 	}
-	if cfg.InjectionRate < 0 || cfg.InjectionRate > 1 {
+	if !(cfg.InjectionRate >= 0 && cfg.InjectionRate <= 1) { // NaN fails too
 		return fmt.Errorf("netsim: injection rate %v out of [0,1]", cfg.InjectionRate)
 	}
 	if cfg.DrainCycles == 0 {

@@ -20,12 +20,14 @@
 // RunImplicitFaulty run as a single lane: the hooks — routing, delivery,
 // drops, fault application — are the same code. What the many-lane run
 // changes is the RNG (one splitmix64-derived stream per lane instead of
-// Seed's own stream), the source enumeration (each lane draws over the
-// nodes of its modules), the stop test (at window barriers rather than every
-// cycle) and the probe (buffered per lane and replayed). So a sharded run
-// is not packet-for-packet comparable with RunImplicit, and its Lanes value
-// is part of its identity; what it preserves is the model: same injection
-// law per node, same routing, same link service, same fault semantics.
+// Seed's own stream), the owned-node enumeration (each lane's injection
+// sampler walks only the nodes of its modules, module by module, so its
+// cost is O(injections) like the one-lane run's), the stop test (at window
+// barriers rather than every cycle) and the probe (buffered per lane and
+// replayed). So a sharded run is not packet-for-packet comparable with
+// RunImplicit, and its Lanes value is part of its identity; what it
+// preserves is the model: the same independent Bernoulli trial per node per
+// cycle, same routing, same link service, same fault semantics.
 package netsim
 
 import (
